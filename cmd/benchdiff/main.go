@@ -9,10 +9,8 @@
 //	benchdiff ... -history BENCH_history.jsonl [-summary "$GITHUB_STEP_SUMMARY"]
 //
 // Analytic figures never drive the engine, so they carry no per-event
-// rates and are exempt. On sharded (-engineworkers) measurements the
-// cross-region conservation identities are re-checked with zero
-// tolerance. Exit status is 1 when any gated metric regressed beyond
-// -max-regress, 0 otherwise.
+// rates and are exempt. Exit status is 1 when any gated metric
+// regressed beyond -max-regress, 0 otherwise.
 //
 // -history appends the fresh report's per-scenario ns/event and total
 // wall clock as one JSON line to the given file (a run log CI restores

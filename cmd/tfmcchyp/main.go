@@ -9,7 +9,6 @@
 //	tfmcchyp -run path/to/hyp.json   # run a hypothesis document
 //	tfmcchyp -suite -json            # machine-readable verdicts
 //	tfmcchyp -suite -summary out.md  # append a markdown verdict table (CI job summary)
-//	tfmcchyp -suite -engineworkers 2 # judge on the region-parallel engine
 //
 // Each hypothesis names a workload (a registry scenario, a JSON spec
 // file, an inline spec, optionally perturbed by a seeded chaos fault
@@ -36,8 +35,6 @@ func main() {
 	list := flag.Bool("list", false, "list the committed suite and chaos levels")
 	run := flag.String("run", "", "run one hypothesis by suite id or JSON document path")
 	workers := flag.Int("workers", min(4, runtime.NumCPU()), "parallel sweep workers per hypothesis")
-	engineW := flag.Int("engineworkers", 0, "judge workloads on the region-parallel engine with this many goroutines per run (>= 2; 0 or 1 = serial)")
-	batch := flag.Bool("batch", true, "burst event dispatch: pop and dispatch same-timestamp event runs in one heap pass (output is byte-identical either way)")
 	asJSON := flag.Bool("json", false, "emit verdicts as JSON instead of text reports")
 	summary := flag.String("summary", "", "append a markdown verdict table to this file")
 	flag.Parse()
@@ -66,10 +63,10 @@ func main() {
 					*run, strings.Join(hypothesis.SuiteIDs(), ", "), err)
 			}
 		}
-		verdicts := judge([]*hypothesis.Hypothesis{h}, *workers, *engineW, *batch, *asJSON)
+		verdicts := judge([]*hypothesis.Hypothesis{h}, *workers, *asJSON)
 		finish(verdicts, *summary, *asJSON)
 	case *suite:
-		verdicts := judge(hypothesis.Suite(), *workers, *engineW, *batch, *asJSON)
+		verdicts := judge(hypothesis.Suite(), *workers, *asJSON)
 		finish(verdicts, *summary, *asJSON)
 	default:
 		flag.Usage()
@@ -77,10 +74,10 @@ func main() {
 	}
 }
 
-func judge(hs []*hypothesis.Hypothesis, workers, engineW int, batch, asJSON bool) []*hypothesis.Verdict {
+func judge(hs []*hypothesis.Hypothesis, workers int, asJSON bool) []*hypothesis.Verdict {
 	var out []*hypothesis.Verdict
 	for _, h := range hs {
-		v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers, EngineWorkers: engineW, NoBatch: !batch})
+		v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers})
 		if err != nil {
 			fatalf("%s: %v", h.ID, err)
 		}

@@ -12,7 +12,6 @@
 //	tfmccsim -scenario flashcrowd            # run a scenario preset
 //	tfmccsim -scenario 9 -duration 60 -coreloss 0.01   # overridden figure
 //	tfmccsim -figure clrfail -check          # run with the invariant checker
-//	tfmccsim -scenario wireless -engineworkers 2   # region-parallel engine
 //
 // -scenario runs any Spec-backed registry entry — the named presets and
 // every single-scenario engine figure — through the generic scenario
@@ -29,15 +28,6 @@
 //
 // where [ci_lo, ci_hi] is the -ci confidence interval for the mean. The
 // merged output is bit-for-bit independent of -workers.
-//
-// -engineworkers w (>= 2) runs every scenario-spec-driven simulation on
-// the region-parallel engine: the topology is partitioned into regions
-// that advance on their own scheduler shards over w goroutines,
-// synchronised by conservative lookahead windows. Output is
-// deterministic and independent of w, but is a different (equally valid)
-// trajectory than the serial engine's — the shards draw from per-region
-// random streams. 0 or 1 keeps the byte-identical serial path.
-// Hand-wired figures (the non-Spec entries) always run serially.
 package main
 
 import (
@@ -69,8 +59,6 @@ func main() {
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel sweep workers (capped at -seeds)")
 		ci       = flag.Float64("ci", 0.95, "confidence level for the merged bands")
 		check    = flag.Bool("check", false, "run the invariant checker alongside the simulation; exit 1 on violations")
-		engineW  = flag.Int("engineworkers", 0, "run scenario-spec simulations on the region-parallel engine with this many goroutines (>= 2; 0 or 1 = serial)")
-		batch    = flag.Bool("batch", true, "burst event dispatch: pop and dispatch same-timestamp event runs in one heap pass (output is byte-identical either way)")
 
 		duration  = flag.Float64("duration", 0, "override: simulated seconds")
 		corebw    = flag.Float64("corebw", 0, "override: core link bandwidth in Mbit/s")
@@ -107,7 +95,7 @@ func main() {
 				e.ID, "["+strings.Join(e.Tags, ",")+"]", e.Cost, e.Title)
 		}
 	case *hyp != "":
-		judge(*hyp, *workers, *engineW, !*batch)
+		judge(*hyp, *workers)
 	case *scenFile != "":
 		spec, err := scenario.LoadSpec(*scenFile)
 		if err == nil {
@@ -118,8 +106,6 @@ func main() {
 			os.Exit(1)
 		}
 		ctx := experiments.NewRunCtx()
-		ctx.SetEngineWorkers(*engineW)
-		ctx.SetBatching(*batch)
 		if *check {
 			ctx.EnableInvariants()
 		}
@@ -138,8 +124,6 @@ func main() {
 		writeSpec(*scen, ov, *specOut)
 	case *scen != "":
 		ctx := experiments.NewRunCtx()
-		ctx.SetEngineWorkers(*engineW)
-		ctx.SetBatching(*batch)
 		if *check {
 			ctx.EnableInvariants()
 		}
@@ -156,21 +140,20 @@ func main() {
 		reportViolations(violationStrings(ctx), nil)
 	case *all:
 		for _, id := range experiments.Figures() {
-			run(id, *seed, *seeds, *workers, *engineW, *ci, *tsv, *check, *batch)
+			run(id, *seed, *seeds, *workers, *ci, *tsv, *check)
 		}
 	case *figure != "":
-		run(*figure, *seed, *seeds, *workers, *engineW, *ci, *tsv, *check, *batch)
+		run(*figure, *seed, *seeds, *workers, *ci, *tsv, *check)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-func run(id string, seed int64, seeds, workers, engineW int, ci float64, tsv, check, batch bool) {
+func run(id string, seed int64, seeds, workers int, ci float64, tsv, check bool) {
 	if seeds > 1 {
 		res, err := experiments.Sweep(id, sweep.Config{
 			Seeds: seeds, Workers: workers, CI: ci, Base: seed, Check: check,
-			EngineWorkers: engineW, NoBatch: !batch,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -185,8 +168,6 @@ func run(id string, seed int64, seeds, workers, engineW int, ci float64, tsv, ch
 		return
 	}
 	ctx := experiments.NewRunCtx()
-	ctx.SetEngineWorkers(engineW)
-	ctx.SetBatching(batch)
 	if check {
 		ctx.EnableInvariants()
 	}
@@ -205,7 +186,7 @@ func run(id string, seed int64, seeds, workers, engineW int, ci float64, tsv, ch
 
 // judge resolves a hypothesis — a committed-suite id or a JSON document
 // path — runs it and exits 1 when any expectation fails.
-func judge(ref string, workers, engineW int, noBatch bool) {
+func judge(ref string, workers int) {
 	h, ok := hypothesis.ByID(ref)
 	if !ok {
 		var err error
@@ -216,7 +197,7 @@ func judge(ref string, workers, engineW int, noBatch bool) {
 			os.Exit(1)
 		}
 	}
-	v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers, EngineWorkers: engineW, NoBatch: noBatch})
+	v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -515,7 +515,7 @@ func TestRecoveryFieldsJSONAndMerge(t *testing.T) {
 }
 
 // measure2D runs one cell of a scenario-shard x seed-shard matrix.
-func measure2D(t *testing.T, sel []string, shard, n, sshard, sn, totalSeeds, engineWorkers int) *Report {
+func measure2D(t *testing.T, sel []string, shard, n, sshard, sn, totalSeeds int) *Report {
 	t.Helper()
 	plan, err := NewPlan(sel, true)
 	if err != nil {
@@ -531,8 +531,7 @@ func measure2D(t *testing.T, sel []string, shard, n, sshard, sn, totalSeeds, eng
 	}
 	rep := MeasureOpts(items, plan, Options{
 		Seeds: count, SeedBase: base, TotalSeeds: totalSeeds, Workers: 1,
-		SeedShard:     fmt.Sprintf("%d/%d", sshard, sn),
-		EngineWorkers: engineWorkers,
+		SeedShard: fmt.Sprintf("%d/%d", sshard, sn),
 	}, io.Discard)
 	rep.Shard = fmt.Sprintf("%d/%d", shard, n)
 	return rep
@@ -554,7 +553,7 @@ func Test2DMergeByteIdentical(t *testing.T) {
 	var frags []*Report
 	for s := 1; s <= 2; s++ {
 		for j := 1; j <= 2; j++ {
-			frags = append(frags, measure2D(t, cheapOnly, s, 2, j, 2, totalSeeds, 0))
+			frags = append(frags, measure2D(t, cheapOnly, s, 2, j, 2, totalSeeds))
 		}
 	}
 	frags[0], frags[3] = frags[3], frags[0] // order must not matter
@@ -575,80 +574,5 @@ func Test2DMergeByteIdentical(t *testing.T) {
 	// Dimensionality must be uniform across fragments.
 	if _, err := Merge([]*Report{frags[0], measure(t, 1, 2)}); err == nil {
 		t.Fatal("mixing 2-D and scenario-only fragments must error")
-	}
-}
-
-// TestShardedMeasurement: -engineworkers measurements carry per-shard
-// counters that satisfy conservation, survive seed merges and pass the
-// gate.
-func TestShardedMeasurement(t *testing.T) {
-	sel := []string{"flashcrowd", "wireless"}
-	const totalSeeds = 2
-	plan, err := NewPlan(sel, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := MeasureOpts(plan, plan, Options{Seeds: totalSeeds, Workers: 1, EngineWorkers: 2}, io.Discard)
-	for _, m := range full.Scenarios {
-		if m.EngineShards < 2 || m.EngineWorkers != 2 {
-			t.Fatalf("%s: expected sharded counters, got %+v", m.ID, m)
-		}
-		var sum uint64
-		for _, v := range m.ShardEvents {
-			sum += v
-		}
-		if m.Events != m.ControlEvents+sum || m.HandoffsSent != m.HandoffsRecv {
-			t.Fatalf("%s: conservation broken in measurement: %+v", m.ID, m)
-		}
-	}
-	if regs, _ := Compare(full, full, 0.15); len(regs) != 0 {
-		t.Fatalf("self-compare of a sharded report regressed: %v", regs)
-	}
-	// Seed fragments of the sharded measurement merge byte-identically.
-	want, err := full.Strip().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(sshard int) *Report {
-		base, count, err := SeedRange(totalSeeds, sshard, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return MeasureOpts(plan, plan, Options{
-			Seeds: count, SeedBase: base, TotalSeeds: totalSeeds, Workers: 1,
-			SeedShard: fmt.Sprintf("%d/2", sshard), EngineWorkers: 2,
-		}, io.Discard)
-	}
-	merged, err := Merge([]*Report{mk(2), mk(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := merged.Strip().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("seed-merged sharded report differs from full run:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestConservationGate: broken handoff or event accounting on a sharded
-// report fails Compare with zero tolerance, independent of rates.
-func TestConservationGate(t *testing.T) {
-	m := Metrics{
-		ID: "x", Events: 100, ControlEvents: 10, ShardEvents: []uint64{50, 40},
-		EngineShards: 2, EngineWorkers: 2, HandoffsSent: 7, HandoffsRecv: 7,
-		NSPerEvent: 1,
-	}
-	base := &Report{Scenarios: []Metrics{m}}
-	if regs, _ := Compare(base, &Report{Scenarios: []Metrics{m}}, 0.15); len(regs) != 0 {
-		t.Fatalf("intact conservation flagged: %v", regs)
-	}
-	bad := m
-	bad.HandoffsRecv = 6
-	bad.ShardEvents = []uint64{50, 39}
-	regs, _ := Compare(base, &Report{Scenarios: []Metrics{bad}}, 0.15)
-	if len(regs) != 2 {
-		t.Fatalf("want 2 conservation regressions, got %v", regs)
 	}
 }

@@ -57,7 +57,6 @@ func Compare(base, fresh *Report, tol float64) (regs []Regression, notes []strin
 	seen := map[string]bool{}
 	for _, m := range fresh.Scenarios {
 		seen[m.ID] = true
-		regs = append(regs, conserve(m)...)
 		b, ok := baseByID[m.ID]
 		if !ok {
 			notes = append(notes, fmt.Sprintf("%s: new scenario, no baseline", m.ID))
@@ -75,64 +74,6 @@ func Compare(base, fresh *Report, tol float64) (regs []Regression, notes []strin
 		}
 	}
 	return regs, notes
-}
-
-// conserve checks the region-parallel engine's conservation identities
-// on a sharded measurement: every cross-region handoff pushed must have
-// been drained into its destination shard, and the total event count
-// must decompose into control plus per-shard events. These have no
-// tolerance — a mismatch means the partitioning dropped or duplicated
-// work, which per-scenario rates alone would hide.
-func conserve(m Metrics) []Regression {
-	var regs []Regression
-	// Batched dispatch can only coalesce events, never invent them: a
-	// batch count above the event count means the occupancy accounting
-	// broke (only meaningful on full reports — Strip removes Batches).
-	if m.Batches > m.Events {
-		regs = append(regs, Regression{
-			ID: m.ID, Metric: "batches > events",
-			Base: float64(m.Events), New: float64(m.Batches),
-			Ratio: ratioOf(m.Batches, m.Events),
-		})
-	}
-	if m.EngineShards == 0 {
-		return regs
-	}
-	// Every region-parallel run executes at least one synchronization
-	// window; zero recorded windows on a sharded measurement means the
-	// window accounting was lost (again, full reports only).
-	if m.Windows == 0 && m.Batches > 0 {
-		regs = append(regs, Regression{
-			ID: m.ID, Metric: "no windows recorded",
-			Base: 1, New: 0, Ratio: 0,
-		})
-	}
-	if m.HandoffsSent != m.HandoffsRecv {
-		regs = append(regs, Regression{
-			ID: m.ID, Metric: "handoffs sent!=recv",
-			Base: float64(m.HandoffsSent), New: float64(m.HandoffsRecv),
-			Ratio: ratioOf(m.HandoffsRecv, m.HandoffsSent),
-		})
-	}
-	sum := m.ControlEvents
-	for _, v := range m.ShardEvents {
-		sum += v
-	}
-	if m.Events != sum {
-		regs = append(regs, Regression{
-			ID: m.ID, Metric: "event decomposition",
-			Base: float64(m.Events), New: float64(sum),
-			Ratio: ratioOf(sum, m.Events),
-		})
-	}
-	return regs
-}
-
-func ratioOf(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
 }
 
 func gate(id, metric string, base, fresh, tol float64) []Regression {

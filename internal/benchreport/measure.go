@@ -29,16 +29,7 @@ func (m *Metrics) finish(wall time.Duration, st experiments.EngineStats, allocs 
 	m.RateRecoveries = st.RateRecoveries
 	m.ReelectNS = int64(st.ReelectNS)
 	m.RateRecoverNS = int64(st.RateRecoverNS)
-	if st.EngineShards > 0 {
-		m.EngineShards = st.EngineShards
-		m.ShardEvents = append([]uint64(nil), st.ShardEvents[:st.EngineShards]...)
-		m.ControlEvents = st.ControlEvents
-		m.HandoffsSent = st.HandoffsSent
-		m.HandoffsRecv = st.HandoffsRecv
-	}
 	m.Batches = st.Batches
-	m.Windows = st.Windows
-	m.WindowNS = int64(st.WindowNS)
 	if st.Batches > 0 {
 		m.MeanBatch = float64(st.Events) / float64(st.Batches)
 	}
@@ -68,14 +59,6 @@ type Options struct {
 	// ticks are excluded from event counts, so the deterministic report
 	// is unchanged by enabling it.
 	Check bool
-	// EngineWorkers >= 2 routes scenario-spec runs through the
-	// region-parallel engine on that many goroutines per run; the report
-	// then carries per-shard event and handoff counters.
-	EngineWorkers int
-	// NoBatch disables burst event dispatch. The deterministic report is
-	// byte-identical either way (the switch changes only wall time and
-	// the batch-occupancy diagnostics), which the CI identity smoke pins.
-	NoBatch bool
 }
 
 // Measure runs every item of items (typically one shard of plan) and
@@ -152,20 +135,13 @@ func measureFigure(it Item, opt Options) Metrics {
 	a0 := allocsNow()
 	start := time.Now()
 	res, err := experiments.Sweep(it.FigureID, sweep.Config{
-		Seeds: opt.Seeds, Workers: opt.Workers, Base: opt.SeedBase, Check: opt.Check,
-		EngineWorkers: opt.EngineWorkers, NoBatch: opt.NoBatch})
+		Seeds: opt.Seeds, Workers: opt.Workers, Base: opt.SeedBase, Check: opt.Check})
 	if err != nil {
-		// Serial-only figures refuse -engineworkers rather than silently
-		// running serial; surface the refusal as a recorded failure so a
-		// sharded measurement plan still covers the rest of the suite.
 		m.WallNS = time.Since(start).Nanoseconds()
 		m.Failures = []string{err.Error()}
 		return m
 	}
 	m.finish(time.Since(start), res.Engine, allocsNow()-a0)
-	if res.Engine.EngineShards > 0 {
-		m.EngineWorkers = opt.EngineWorkers
-	}
 	m.Violations = res.Violations
 	m.Failures = res.Failures
 	return m
@@ -180,7 +156,6 @@ func measureSession(it Item, opt Options) Metrics {
 	base, seeds := opt.SeedBase, opt.Seeds
 	m := Metrics{ID: it.ID, Seq: it.Seq, Title: it.Title, Tags: it.Tags, Runs: seeds}
 	ctx := experiments.NewRunCtx()
-	ctx.SetBatching(!opt.NoBatch)
 	runtime.GC()
 	a0 := allocsNow()
 	ctx.SessionThroughput(100, 0) // cold: builds the arena

@@ -227,23 +227,7 @@ func mergeSeeds(frags []*Report) (*Report, error) {
 			acc.Unreachable += m.Unreachable
 			acc.Corrupted += m.Corrupted
 			acc.Duplicated += m.Duplicated
-			if acc.EngineWorkers != m.EngineWorkers {
-				return nil, fmt.Errorf("benchreport: seed fragment %d scenario %s ran with -engineworkers %d, sibling with %d",
-					i+1, m.ID, m.EngineWorkers, acc.EngineWorkers)
-			}
-			acc.EngineShards = max(acc.EngineShards, m.EngineShards)
-			for len(acc.ShardEvents) < len(m.ShardEvents) {
-				acc.ShardEvents = append(acc.ShardEvents, 0)
-			}
-			for k, v := range m.ShardEvents {
-				acc.ShardEvents[k] += v
-			}
-			acc.ControlEvents += m.ControlEvents
-			acc.HandoffsSent += m.HandoffsSent
-			acc.HandoffsRecv += m.HandoffsRecv
 			acc.Batches += m.Batches
-			acc.Windows += m.Windows
-			acc.WindowNS += m.WindowNS
 			acc.CLRLosses += m.CLRLosses
 			acc.Reelections += m.Reelections
 			acc.RateRecoveries += m.RateRecoveries

@@ -46,29 +46,13 @@ type Metrics struct {
 	Unreachable int64 `json:"unreachable,omitempty"`
 	Corrupted   int64 `json:"corrupted,omitempty"`
 	Duplicated  int64 `json:"duplicated,omitempty"`
-	// Region-parallel engine counters (simulation-deterministic, zero —
-	// and omitted — unless the run used -engineworkers >= 2). Events
-	// above then equals ControlEvents + sum(ShardEvents), and
-	// HandoffsSent equals HandoffsRecv: the conservation identities
-	// Compare re-checks, so a partitioning bug that drops cross-region
-	// packets fails the benchdiff gate.
-	EngineWorkers int      `json:"engine_workers,omitempty"`
-	EngineShards  int      `json:"engine_shards,omitempty"`
-	ShardEvents   []uint64 `json:"shard_events,omitempty"`
-	ControlEvents uint64   `json:"control_events,omitempty"`
-	HandoffsSent  uint64   `json:"handoffs_sent,omitempty"`
-	HandoffsRecv  uint64   `json:"handoffs_recv,omitempty"`
-	// Batch-dispatch diagnostics. Batches counts dispatch batches across
-	// every scheduler; MeanBatch = Events/Batches is the mean occupancy.
-	// Windows/WindowNS describe the region-parallel window schedule.
-	// Unlike the counters above these vary with -check (checker ticks add
-	// events and clip windows), so Strip removes them: they are
-	// measurement diagnostics for benchdiff history, not part of the
-	// deterministic identity.
+	// Batch-dispatch diagnostics. Batches counts dispatch batches;
+	// MeanBatch = Events/Batches is the mean occupancy. Unlike the
+	// counters above these vary with -check (checker ticks add events),
+	// so Strip removes them: they are measurement diagnostics for
+	// benchdiff history, not part of the deterministic identity.
 	Batches   uint64  `json:"batches,omitempty"`
 	MeanBatch float64 `json:"mean_batch,omitempty"`
-	Windows   uint64  `json:"windows,omitempty"`
-	WindowNS  int64   `json:"window_ns,omitempty"`
 	// Recovery-time counters (simulation-deterministic, zero — and
 	// omitted — unless a run lost its CLR without an immediate successor).
 	// Counts sum across the sweep's seeds; the _ns fields are the worst
@@ -196,8 +180,6 @@ func (r *Report) Strip() *Report {
 		m.Setup = nil
 		m.Batches = 0
 		m.MeanBatch = 0
-		m.Windows = 0
-		m.WindowNS = 0
 		out.Scenarios[i] = m
 	}
 	return &out

@@ -14,8 +14,10 @@ import (
 )
 
 // digestDuration is the simulated length of every TestScenarioDigests
-// run: long enough to cover each preset's joins, faults and hand-offs
-// at their scaled times, short enough to sweep the whole registry.
+// run: start-up, slow start and the first feedback rounds of every
+// entry, short enough that the whole registry takes under a second.
+// Events scripted later in a run are outside it; the deterministic
+// tfmccbench report covers full-length runs.
 const digestDuration = 5 * sim.Second
 
 // scenarioDigest returns the sha256 of a 5 s, seed-1 run of a registry
@@ -32,10 +34,10 @@ func scenarioDigest(t *testing.T, id string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestScenarioDigests pins the serial engine's output: every Spec-backed
+// TestScenarioDigests pins the simulator's output: every Spec-backed
 // registry entry, shortened to 5 s, must hash to the digest recorded in
-// testdata/scenario_digests.txt. A change that moves any simulated
-// byte fails here; a deliberate change must say why when it rewrites
+// testdata/scenario_digests.txt. A change that moves any byte of those
+// runs fails here; a deliberate change must say why when it rewrites
 // the file.
 func TestScenarioDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {

@@ -86,21 +86,8 @@ func RunWith(c *RunCtx, id string, seed int64) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown figure %q (have %v)", id, Figures())
 	}
-	if err := refuseSerialOnly(e, c.engineWorkers); err != nil {
-		return nil, err
-	}
 	defer c.begin("figure" + id)()
 	return e.Run(c, seed), nil
-}
-
-// refuseSerialOnly rejects serial-only runners when the region-parallel
-// engine was requested: silently falling back to serial would report a
-// different deterministic universe than the caller asked for.
-func refuseSerialOnly(e Entry, engineWorkers int) error {
-	if e.SerialOnly && engineWorkers >= 2 {
-		return fmt.Errorf("experiments: figure %q drives the simulation clock itself and only runs on the serial engine; rerun it without -engineworkers (or with -engineworkers 1)", e.ID)
-	}
-	return nil
 }
 
 // --- run context and environment arena ---------------------------------
@@ -110,15 +97,13 @@ func refuseSerialOnly(e Entry, engineWorkers int) error {
 // counters accumulated across runs. It must be used from one goroutine at
 // a time; parallel sweeps give each worker its own RunCtx.
 type RunCtx struct {
-	key           string
-	envs          map[string][]*env
-	next          int
-	reuse         bool
-	check         bool
-	noBatch       bool
-	engineWorkers int
-	stats         EngineStats
-	violations    []invariant.Violation
+	key        string
+	envs       map[string][]*env
+	next       int
+	reuse      bool
+	check      bool
+	stats      EngineStats
+	violations []invariant.Violation
 }
 
 // NewRunCtx returns a context with environment reuse enabled.
@@ -136,30 +121,6 @@ func (c *RunCtx) EnableInvariants() { c.check = true }
 // Violations returns the invariant violations observed across every run
 // executed with this context since the last ResetStats.
 func (c *RunCtx) Violations() []invariant.Violation { return c.violations }
-
-// SetEngineWorkers selects the execution engine for scenario-spec runs:
-// n >= 2 routes them through the region-parallel engine
-// (internal/engine) on n worker goroutines, anything lower keeps the
-// serial engine. Sharded output is deterministic and invariant in n —
-// the region structure depends only on topology and seed — but it is a
-// different deterministic universe than the serial engine's (per-region
-// RNG streams), so 1 means serial, byte-identical to the default.
-func (c *RunCtx) SetEngineWorkers(n int) { c.engineWorkers = n }
-
-// EngineWorkers reports the configured engine worker count (0 or 1 =
-// serial).
-func (c *RunCtx) EngineWorkers() int { return c.engineWorkers }
-
-// SetBatching toggles burst event dispatch on every environment this
-// context hands out. Batching is on by default; it changes only how
-// events are popped and how link arrivals are timed internally — the
-// dispatch order and every random stream are unchanged, so output is
-// byte-identical either way. The off switch exists for the identity
-// smoke tests and for bisecting suspected batching bugs.
-func (c *RunCtx) SetBatching(on bool) { c.noBatch = !on }
-
-// Batching reports whether burst event dispatch is enabled.
-func (c *RunCtx) Batching() bool { return !c.noBatch }
 
 // begin starts a run of the named scenario and returns the harvest
 // function to defer: it folds the run's engine counters into the context
@@ -190,24 +151,6 @@ func (c *RunCtx) endRun() {
 		// events. The count differs with and without -check (checker ticks
 		// add events), so reports strip it; history records it.
 		c.stats.Batches += e.sch.Batches()
-		if e.net.Sharded() {
-			// Region-parallel run: the environment scheduler only carried
-			// control flow. Total events = control + every region scheduler,
-			// an identity the benchdiff gate re-checks from the report.
-			c.stats.ControlEvents += events
-			se := e.net.ShardEventCounts()
-			if len(se) > c.stats.EngineShards {
-				c.stats.EngineShards = len(se)
-			}
-			for i, v := range se {
-				c.stats.ShardEvents[i] += v
-				events += v
-			}
-			sent, recv := e.net.HandoffCounts()
-			c.stats.HandoffsSent += sent
-			c.stats.HandoffsRecv += recv
-			c.stats.Batches += e.net.ShardBatches()
-		}
 		c.stats.Events += events
 		for _, l := range e.net.Links() {
 			c.stats.PacketsSent += l.Stats.Sent
@@ -239,15 +182,6 @@ func (c *RunCtx) harvestRecovery(s *tfmcc.Sender) {
 	}
 }
 
-// noteEngineRun folds one region-parallel run's window schedule into the
-// context totals. Called by RunSpecErr right after engine.Run; the window
-// counters are wall-structure diagnostics (they depend on -check ticks
-// clipping windows), so reports strip them and only history records them.
-func (c *RunCtx) noteEngineRun(windows uint64, windowNS sim.Time) {
-	c.stats.Windows += windows
-	c.stats.WindowNS += windowNS
-}
-
 // ResetStats zeroes the accumulated engine counters and violations.
 func (c *RunCtx) ResetStats() {
 	c.stats = EngineStats{}
@@ -273,8 +207,6 @@ func (c *RunCtx) newEnv(seed int64) *env {
 		e := list[c.next]
 		c.next++
 		e.rewind(seed)
-		e.sch.SetBatching(!c.noBatch)
-		e.net.SetBatching(!c.noBatch)
 		c.armChecker(e)
 		return e
 	}
@@ -284,8 +216,6 @@ func (c *RunCtx) newEnv(seed int64) *env {
 	if c.reuse {
 		e.net.EnableReuse()
 	}
-	e.sch.SetBatching(!c.noBatch)
-	e.net.SetBatching(!c.noBatch)
 	c.envs[c.key] = append(list, e)
 	c.next++
 	c.armChecker(e)
@@ -447,9 +377,6 @@ func Sweep(id string, cfg sweep.Config) (*SweepResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown figure %q (have %v)", id, Figures())
 	}
-	if err := refuseSerialOnly(entry, cfg.EngineWorkers); err != nil {
-		return nil, err
-	}
 	cfg = cfg.Normalized()
 	ctxs := make([]*RunCtx, cfg.Workers)
 	for i := range ctxs {
@@ -457,8 +384,6 @@ func Sweep(id string, cfg sweep.Config) (*SweepResult, error) {
 		if cfg.Check {
 			ctxs[i].EnableInvariants()
 		}
-		ctxs[i].SetEngineWorkers(cfg.EngineWorkers)
-		ctxs[i].SetBatching(!cfg.NoBatch)
 	}
 	notes := make([][]string, cfg.Seeds)
 	merged := sweep.Run(cfg, func(worker int, seed int64) []*stats.Series {
@@ -517,29 +442,11 @@ type EngineStats struct {
 	ReelectNS      sim.Time // max loss-to-re-election sim-time
 	RateRecoverNS  sim.Time // max loss-to-rate-re-attainment sim-time
 
-	// Region-parallel engine counters, all zero (and omitted from
-	// reports) on serial runs. For sharded runs Events above equals
-	// ControlEvents + sum(ShardEvents), and HandoffsSent equals
-	// HandoffsRecv once every window drained — the conservation
-	// identities the benchdiff gate pins.
-	// ShardEvents is a fixed array (the region count is capped at
-	// simnet.MaxAutoShards) so EngineStats stays comparable; only the
-	// first EngineShards entries are meaningful.
-	EngineShards  int                          // max regions any folded run was cut into
-	ShardEvents   [simnet.MaxAutoShards]uint64 // per-region events, elementwise-summed across runs
-	ControlEvents uint64                       // control-scheduler events (checker ticks excluded)
-	HandoffsSent  uint64                       // cross-region packets pushed by source shards
-	HandoffsRecv  uint64                       // cross-region packets drained into destinations
-
-	// Batch-dispatch diagnostics. Batches counts dispatch batches across
-	// every scheduler (mean occupancy = Events/Batches); Windows and
-	// WindowNS describe the region-parallel window schedule. All three
-	// vary with -check (checker ticks add events and clip windows), so the
-	// deterministic report form strips them — benchdiff history is where
-	// they surface.
-	Batches  uint64   // dispatch batches executed (0 when batching is off)
-	Windows  uint64   // region-parallel synchronization windows
-	WindowNS sim.Time // summed window widths
+	// Batches counts dispatch batches (mean occupancy = Events/Batches).
+	// It varies with -check (checker ticks add events), so the
+	// deterministic report form strips it — benchdiff history is where
+	// it surfaces.
+	Batches uint64
 }
 
 // Add folds another stats sample into s.
@@ -559,16 +466,5 @@ func (s *EngineStats) Add(o EngineStats) {
 	if o.RateRecoverNS > s.RateRecoverNS {
 		s.RateRecoverNS = o.RateRecoverNS
 	}
-	if o.EngineShards > s.EngineShards {
-		s.EngineShards = o.EngineShards
-	}
-	for i, v := range o.ShardEvents {
-		s.ShardEvents[i] += v
-	}
-	s.ControlEvents += o.ControlEvents
-	s.HandoffsSent += o.HandoffsSent
-	s.HandoffsRecv += o.HandoffsRecv
 	s.Batches += o.Batches
-	s.Windows += o.Windows
-	s.WindowNS += o.WindowNS
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"os"
 	"testing"
 
 	"repro/internal/scenario"
@@ -144,20 +145,32 @@ func fuzzTooExpensive(spec *scenario.Spec) bool {
 // (mutateJSON), so the strict loader sits inside the fuzzed path too.
 // The contract under test: a spec either fails to decode/build/run with
 // a structured error or runs deterministically (two runs with the same
-// seed are byte-identical); it never panics.
+// seed are byte-identical); it never panics or hangs. id names a
+// Spec-backed entry or, failing that, is itself a JSON spec document.
 func FuzzScenarioSpec(f *testing.F) {
 	for i, id := range ScenarioIDs() {
 		f.Add(id, int64(i+1), []byte{byte(i), 0x40, byte(2 * i), 1})
 		f.Add(id, int64(i+1), []byte{byte(i + 4), 0xc0, 0xff, byte(i)})
 		f.Add(id, int64(i+1), []byte{byte(i), 0x40, byte(2 * i), 1, 0, byte(i), 0x17, 2, 0, 40, 3, 1, 9})
 	}
+	// The degrade preset with a negative core delay: Build must reject
+	// it, because route computation never ends on the negative-weight
+	// cycle the duplex core link forms.
+	negDelay, err := os.ReadFile("testdata/negative_delay.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(negDelay), int64(1), []byte{})
 	f.Fuzz(func(t *testing.T, id string, seed int64, mut []byte) {
-		e, ok := Lookup(id)
-		if !ok || e.Spec == nil {
-			t.Skip("not a Spec-backed entry")
+		load := func() (*scenario.Spec, error) { return scenario.DecodeSpec([]byte(id)) }
+		if e, ok := Lookup(id); ok && e.Spec != nil {
+			load = func() (*scenario.Spec, error) { return e.Spec(), nil }
 		}
 		run := func() (string, error) {
-			spec := e.Spec()
+			spec, err := load()
+			if err != nil {
+				return "", err
+			}
 			if spec.Duration > fuzzDuration {
 				spec.Duration = fuzzDuration
 			}

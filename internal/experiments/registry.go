@@ -41,12 +41,6 @@ type Entry struct {
 	// sub-scenarios (13, 14). The command line uses it for -scenario
 	// runs with parameter overrides.
 	Spec func() *scenario.Spec
-	// SerialOnly marks runners that drive the simulation clock themselves
-	// (RunUntil polling loops reading protocol state mid-run) and so
-	// cannot execute on the region-parallel engine. RunWith and Sweep
-	// refuse them when engine workers are requested instead of silently
-	// running serial.
-	SerialOnly bool
 }
 
 // Analytic reports whether the entry never uses the simulation engine.
@@ -80,13 +74,6 @@ func addEntry(e Entry) {
 func register(id, title string, cost float64, r Runner) {
 	addEntry(Entry{ID: id, Title: title, Run: r, Cost: cost,
 		Tags: []string{TagEngine, TagSweep}})
-}
-
-// registerSerial adds an engine-driven figure whose runner steps the
-// clock itself and therefore only runs on the serial engine.
-func registerSerial(id, title string, cost float64, r Runner) {
-	addEntry(Entry{ID: id, Title: title, Run: r, Cost: cost,
-		Tags: []string{TagEngine, TagSweep}, SerialOnly: true})
 }
 
 // registerSpec adds an engine figure together with its declarative

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/scenario"
 )
 
@@ -27,20 +26,11 @@ func init() {
 	}
 }
 
-// runScenario executes a compile-time figure spec on the configured
-// execution engine — region-parallel when the context has engineWorkers
-// >= 2, serial otherwise — so the hand-wired figure runners honour
-// -engineworkers exactly like Spec-backed runs. Build failures panic:
-// these specs are compile-time constants, so failure is a programmer
-// bug (the mustScenario contract).
+// runScenario executes a compile-time figure spec on the context's
+// pooled environment. Build failures panic: these specs are
+// compile-time constants, so failure is a programmer bug (the
+// mustScenario contract).
 func (c *RunCtx) runScenario(spec *scenario.Spec, seed int64) *scenario.Scenario {
-	if w := c.engineWorkers; w >= 2 {
-		sc, st, err := engine.Run(c.ScenarioEnv(seed), spec, seed, w)
-		if err == nil {
-			c.noteEngineRun(st.Windows, st.WindowNS)
-		}
-		return mustScenario(sc, err)
-	}
 	return mustScenario(scenario.Run(c.ScenarioEnv(seed), spec))
 }
 
@@ -61,17 +51,7 @@ func RunSpec(c *RunCtx, id string, spec *scenario.Spec, seed int64) *Result {
 // hypothesis workloads) go through, where a malformed spec is an input
 // problem rather than a programmer bug.
 func RunSpecErr(c *RunCtx, id string, spec *scenario.Spec, seed int64) (*Result, error) {
-	var sc *scenario.Scenario
-	var err error
-	if w := c.engineWorkers; w >= 2 {
-		var st engine.Stats
-		sc, st, err = engine.Run(c.ScenarioEnv(seed), spec, seed, w)
-		if err == nil {
-			c.noteEngineRun(st.Windows, st.WindowNS)
-		}
-	} else {
-		sc, err = scenario.Run(c.ScenarioEnv(seed), spec)
-	}
+	sc, err := scenario.Run(c.ScenarioEnv(seed), spec)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +92,7 @@ func RunOverridden(c *RunCtx, id string, ov scenario.Overrides, seed int64) (*Re
 		return nil, err
 	}
 	defer c.begin("scenario-" + id)()
-	return RunSpec(c, id, spec, seed), nil
+	return RunSpecErr(c, id, spec, seed)
 }
 
 // ScenarioIDs returns the ids of every Spec-backed entry (figures with a

@@ -184,55 +184,3 @@ func TestWorkloadOneOf(t *testing.T) {
 		t.Error("doubly-populated workload resolved")
 	}
 }
-
-// TestChaosJudgedSharded runs a chaos suite hypothesis on the
-// region-parallel engine and expects it to pass, with verdicts
-// invariant in both the sweep worker count and the engine worker count.
-func TestChaosJudgedSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-simulation run")
-	}
-	h, ok := ByID("chaos-deeptree-l1")
-	if !ok {
-		t.Fatal("chaos-deeptree-l1 missing from the suite")
-	}
-	a, err := Run(h, Options{Workers: 1, EngineWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Pass {
-		t.Fatalf("chaos hypothesis fails on the sharded engine:\n%s", a.Report())
-	}
-	b, err := Run(h, Options{Workers: 2, EngineWorkers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("sharded verdicts differ across worker counts:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestChaosJudgedBatchInvariance: the judged trajectory of a chaos
-// hypothesis on the sharded engine is identical with burst dispatch on
-// and off — faults, coalesced link rings and lookahead windows included.
-// CI also runs this test under -race as the batching data-race check.
-func TestChaosJudgedBatchInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-simulation run")
-	}
-	h, ok := ByID("chaos-deeptree-l1")
-	if !ok {
-		t.Fatal("chaos-deeptree-l1 missing from the suite")
-	}
-	a, err := Run(h, Options{Workers: 1, EngineWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(h, Options{Workers: 1, EngineWorkers: 2, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("verdicts differ between batch on and off:\n%+v\nvs\n%+v", a, b)
-	}
-}

@@ -15,16 +15,6 @@ import (
 // Options configure a judged run.
 type Options struct {
 	Workers int // sweep workers; < 1 means 1
-	// EngineWorkers >= 2 judges the workload on the region-parallel
-	// engine with that many goroutines per run. The sharded engine is its
-	// own deterministic universe (per-region random streams), so
-	// expectations judge a different — equally valid — trajectory than
-	// the serial engine's; the verdict is still independent of both
-	// Workers and EngineWorkers.
-	EngineWorkers int
-	// NoBatch disables burst event dispatch; the judged trajectory is
-	// byte-identical either way.
-	NoBatch bool
 }
 
 // SeedMeasure is one seed's judgement of one expectation.
@@ -162,8 +152,6 @@ func Run(h *Hypothesis, opt Options) (*Verdict, error) {
 	for i := range ctxs {
 		ctxs[i] = experiments.NewRunCtx()
 		ctxs[i].EnableInvariants()
-		ctxs[i].SetEngineWorkers(opt.EngineWorkers)
-		ctxs[i].SetBatching(!opt.NoBatch)
 	}
 	outcomes := make([]*outcome, cfg.Seeds)
 	_, seedErrs := sweep.RunRaw(cfg, func(worker int, seed int64) []*stats.Series {

@@ -38,7 +38,7 @@ type CBR struct {
 // NewCBR creates a stopped CBR source sending size-byte packets at rate
 // bytes/second from src to dst.
 func NewCBR(net *simnet.Network, src, dst simnet.Addr, rate float64, size int) *CBR {
-	return &CBR{net: net, sch: net.SchedFor(src.Node), src: src, dst: dst, rate: rate, size: size}
+	return &CBR{net: net, sch: net.Scheduler(), src: src, dst: dst, rate: rate, size: size}
 }
 
 // Start begins (or resumes) the paced transmission loop with an
@@ -63,7 +63,7 @@ func (c *CBR) tick() {
 	if !c.running {
 		return
 	}
-	pkt := c.net.AllocPacketClassFor(cbrClass, c.src.Node)
+	pkt := c.net.AllocPacketClass(cbrClass)
 	d, ok := pkt.Payload.(*CBRData)
 	if !ok {
 		d = new(CBRData)

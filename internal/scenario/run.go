@@ -38,17 +38,6 @@ func (e Env) NewMeter(name string) *stats.Meter {
 		func(m *stats.Meter) { m.Reset(name, e.Sch, sim.Second) })
 }
 
-// NewMeterAt is NewMeter bound to the metered endpoint's node: on a
-// sharded network the meter's sampling timer runs on that node's shard
-// scheduler (the one its Add calls execute on); on a serial network the
-// binding is the environment scheduler, exactly as before.
-func (e Env) NewMeterAt(name string, at simnet.NodeID) *stats.Meter {
-	sch := e.Net.SchedFor(at)
-	return sim.Pooled(e.Net.Arena(), meterArenaKey,
-		func() *stats.Meter { return stats.NewMeter(name, sch, sim.Second) },
-		func(m *stats.Meter) { m.Reset(name, sch, sim.Second) })
-}
-
 // RecvSlot is one declared receiver endpoint of a built scenario — an
 // explicit receiver or a whole cohort. R and Meter are nil until the
 // receiver's join time (receivers declared with JoinAt > 0 are
@@ -170,11 +159,18 @@ func Run(env Env, spec *Spec) (*Scenario, error) {
 // measurement loop call Build, then Start and drive the clock themselves.
 //
 // Malformed specs — unknown refs, out-of-range indices, negative times,
-// duplicate flows — return errors; on error the environment may be left
-// partially built and should be reset or discarded.
+// invalid link parameters, duplicate flows — return errors; on error the
+// environment may be left partially built and should be reset or
+// discarded.
 func Build(env Env, spec *Spec) (*Scenario, error) {
 	if spec.Duration < 0 {
 		return nil, fmt.Errorf("scenario %s: negative duration %v", spec.Name, spec.Duration)
+	}
+	if err := checkLink(spec.Topology.Core); err != nil {
+		return nil, fmt.Errorf("scenario %s: core link: %w", spec.Name, err)
+	}
+	if err := checkLink(spec.Topology.StubLink); err != nil {
+		return nil, fmt.Errorf("scenario %s: stub link: %w", spec.Name, err)
 	}
 	topo, err := buildTopology(env.Net, spec.Topology)
 	if err != nil {
@@ -246,6 +242,23 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 		env.Check.Register("clr-live", sc.Sess.CLRInvariant)
 	}
 	return sc, nil
+}
+
+// checkLink rejects link properties no link can have: a negative delay
+// (which would form a negative-weight routing cycle), a negative
+// bandwidth or queue limit, or a loss probability outside [0, 1].
+func checkLink(p LinkP) error {
+	switch {
+	case p.Delay < 0:
+		return fmt.Errorf("negative delay %v", p.Delay)
+	case !(p.BW >= 0):
+		return fmt.Errorf("bandwidth %v is not >= 0", p.BW)
+	case !(p.Loss >= 0 && p.Loss <= 1):
+		return fmt.Errorf("loss %v outside [0, 1]", p.Loss)
+	case p.Queue < 0:
+		return fmt.Errorf("negative queue limit %d", p.Queue)
+	}
+	return nil
 }
 
 // maxPopulation bounds declared receiver blocks so a malformed (or
@@ -330,12 +343,6 @@ func (sc *Scenario) node(r NodeRef) (simnet.NodeID, error) {
 	return 0, fmt.Errorf("scenario %s: bad node ref %+v", sc.Spec.Name, r)
 }
 
-// Link resolves a spec link reference on the built scenario — the same
-// resolver the event script uses, exported so the engine can map pinned
-// SetLink targets (delay mutations) onto concrete links when it
-// partitions a scratch build of the spec.
-func (sc *Scenario) Link(r LinkRef) (*simnet.Link, error) { return sc.link(r) }
-
 func (sc *Scenario) link(r LinkRef) (*simnet.Link, error) {
 	dir := 0
 	if r.Up {
@@ -384,6 +391,14 @@ func (sc *Scenario) buildSite(s *SiteSpec) error {
 		d := sim.Time(s.Jitter.MinMs+sc.Env.Rng.Intn(s.Jitter.SpanMs)) * sim.Millisecond
 		hops[0].Down.Delay, hops[0].Up.Delay = d, d
 	}
+	for h, hop := range hops {
+		if err := checkLink(hop.Down); err != nil {
+			return fmt.Errorf("scenario %s: site %d hop %d down link: %w", sc.Spec.Name, idx, h, err)
+		}
+		if err := checkLink(hop.Up); err != nil {
+			return fmt.Errorf("scenario %s: site %d hop %d up link: %w", sc.Spec.Name, idx, h, err)
+		}
+	}
 	var links []*simnet.Link
 	at := parent
 	for h, hop := range hops {
@@ -417,7 +432,7 @@ func (sc *Scenario) buildRecv(r *RecvSpec) error {
 		rcv := sc.Sess.AddReceiver(at)
 		slot.R = rcv
 		if r.Meter != "" {
-			m := sc.Env.NewMeterAt(r.Meter, at)
+			m := sc.Env.NewMeter(r.Meter)
 			rcv.SetMeter(m)
 			m.Start()
 			slot.Meter = m
@@ -479,7 +494,7 @@ func (sc *Scenario) buildCohort(c *CohortSpec) error {
 		rcv.SetLossSpread(spread)
 		slot.R = rcv
 		if c.Meter != "" {
-			m := sc.Env.NewMeterAt(c.Meter, at)
+			m := sc.Env.NewMeter(c.Meter)
 			rcv.SetMeter(m)
 			m.Start()
 			slot.Meter = m
@@ -537,7 +552,7 @@ func (sc *Scenario) buildTCP(t *TCPSpec) error {
 	snd, snk := tcpsim.NewFlow(t.Name, sc.Env.Net, a, b, t.Port, cfg)
 	f := &Flow{Name: t.Name, TCP: snd, TCPSink: snk}
 	if t.Meter != "" {
-		m := sc.Env.NewMeterAt(t.Meter, b)
+		m := sc.Env.NewMeter(t.Meter)
 		snk.Meter = m
 		m.Start()
 		f.Meter = m
@@ -565,7 +580,7 @@ func (sc *Scenario) buildCBR(c *CBRSpec) error {
 	net.Bind(dst, sink)
 	f := &Flow{Name: c.Name, CBR: cbr, CBRSink: sink}
 	if c.Meter != "" {
-		m := sc.Env.NewMeterAt(c.Meter, b)
+		m := sc.Env.NewMeter(c.Meter)
 		sink.Meter = m
 		m.Start()
 		f.Meter = m
@@ -681,6 +696,19 @@ func (sc *Scenario) scheduleEvent(ev Event) error {
 		l, err := sc.link(m.Link)
 		if err != nil {
 			return err
+		}
+		var p LinkP
+		if m.BW != nil {
+			p.BW = *m.BW
+		}
+		if m.Delay != nil {
+			p.Delay = *m.Delay
+		}
+		if m.Loss != nil {
+			p.Loss = *m.Loss
+		}
+		if err := checkLink(p); err != nil {
+			return fmt.Errorf("scenario %s: set_link: %w", sc.Spec.Name, err)
 		}
 		sc.Env.Sch.At(ev.At, func() {
 			if m.BW != nil {

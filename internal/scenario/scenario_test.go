@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -215,6 +216,77 @@ func TestPresetSpecsBuild(t *testing.T) {
 		}
 		if sc.Sess == nil {
 			t.Fatalf("%s: no session", p.ID)
+		}
+	}
+}
+
+// TestBuildRejectsInvalidLinks: every place a spec supplies link
+// parameters — core and stub links, site hops in both directions,
+// population and cohort hops, SetLink events and the loss overrides —
+// must fail Build with an error naming the bad value, never hang in
+// route computation or run with a nonsense link.
+func TestBuildRejectsInvalidLinks(t *testing.T) {
+	base := func() *Spec {
+		return &Spec{
+			Name:     "links",
+			Topology: Topology{Kind: Dumbbell, Core: LinkP{BW: BW(1), Delay: 20 * sim.Millisecond, Queue: 20}},
+			Pop:      &Population{Count: 1},
+			Steps: []Step{
+				{Site: &SiteSpec{Hops: []Hop{FastHop(), FastHop()}}},
+				{Recv: &RecvSpec{At: Site(1)}},
+			},
+			Duration: sim.Second,
+		}
+	}
+	override := func(o Overrides) func(*Spec) *Spec {
+		return func(s *Spec) *Spec {
+			out, err := s.Apply(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+	}
+	coreLoss, edgeLoss := None(), None()
+	coreLoss.CoreLoss = 1.5
+	edgeLoss.EdgeLoss = 2
+	cases := []struct {
+		name string
+		edit func(*Spec) *Spec
+		want string
+	}{
+		{"core delay", func(s *Spec) *Spec { s.Topology.Core.Delay = -20 * sim.Millisecond; return s }, "core link: negative delay"},
+		{"core bw", func(s *Spec) *Spec { s.Topology.Core.BW = -BW(1); return s }, "core link: bandwidth"},
+		{"core loss", func(s *Spec) *Spec { s.Topology.Core.Loss = 2; return s }, "core link: loss 2 outside"},
+		{"core queue", func(s *Spec) *Spec { s.Topology.Core.Queue = -5; return s }, "core link: negative queue"},
+		{"stub delay", func(s *Spec) *Spec {
+			s.Topology = Topology{Kind: TransitStub, Transit: 2, Stubs: 1, StubLink: LinkP{Delay: -1}}
+			return s
+		}, "stub link: negative delay"},
+		{"site down delay", func(s *Spec) *Spec { s.Steps[0].Site.Hops[1].Down.Delay = -sim.Millisecond; return s }, "site 1 hop 1 down link: negative delay"},
+		{"site up loss", func(s *Spec) *Spec { s.Steps[0].Site.Hops[0].Up.Loss = -0.1; return s }, "site 1 hop 0 up link: loss"},
+		{"site jitter", func(s *Spec) *Spec { s.Steps[0].Site.Jitter = &Jitter{MinMs: -50, SpanMs: 1}; return s }, "site 1 hop 0 down link: negative delay"},
+		{"population hop", func(s *Spec) *Spec { s.Pop.Hop = SymHop(LinkP{Delay: sim.Millisecond, Queue: -1}); return s }, "site 0 hop 0 down link: negative queue"},
+		{"cohort hop", func(s *Spec) *Spec {
+			s.Cohort = &CohortSpec{Size: 10, Hop: &Hop{Down: LinkP{BW: -1}}}
+			return s
+		}, "site 2 hop 0 down link: bandwidth"},
+		{"set_link delay", func(s *Spec) *Spec {
+			s.Events = []Event{SetDelayEvent(sim.Second/2, CoreLink(0), -sim.Millisecond)}
+			return s
+		}, "set_link: negative delay"},
+		{"set_link bw", func(s *Spec) *Spec { s.Events = []Event{SetBWEvent(sim.Second/2, CoreLink(0), -1)}; return s }, "set_link: bandwidth"},
+		{"set_link loss", func(s *Spec) *Spec { s.Events = []Event{SetLossEvent(sim.Second/2, CoreLink(0), 1.5)}; return s }, "set_link: loss 1.5 outside"},
+		{"coreloss override", override(coreLoss), "core link: loss 1.5 outside"},
+		{"edgeloss override", override(edgeLoss), "site 0 hop 0 down link: loss 2 outside"},
+	}
+	if _, err := Build(testEnv(1), base()); err != nil {
+		t.Fatalf("valid base spec: %v", err)
+	}
+	for _, c := range cases {
+		_, err := Build(testEnv(1), c.edit(base()))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got error %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -33,10 +33,6 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 		right := net.AddNode("right")
 		fwd, rev := net.AddDuplex(left, right, t.Core.BW, t.Core.Delay, t.Core.Queue)
 		fwd.LossProb, rev.LossProb = t.Core.Loss, t.Core.Loss
-		// Region hints for the parallel engine: the bottleneck is the
-		// natural cut, so each half of the dumbbell is its own region.
-		net.SetRegionHint(left, 0)
-		net.SetRegionHint(right, 1)
 		return &Topo{
 			Nodes:        []simnet.NodeID{left, right},
 			Links:        []*simnet.Link{fwd, rev},
@@ -122,10 +118,6 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 		var core []simnet.NodeID
 		for i := 0; i < transit; i++ {
 			n := net.AddNode(fmt.Sprintf("transit-%d", i))
-			// Region hints for the parallel engine: the transit backbone is
-			// one region, and each stub domain below a transit router is its
-			// own — the classic transit-stub cut.
-			net.SetRegionHint(n, 0)
 			topo.Nodes = append(topo.Nodes, n)
 			if i > 0 {
 				down, up := net.AddDuplex(core[i-1], n, t.Core.BW, t.Core.Delay, t.Core.Queue)
@@ -137,7 +129,6 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 		for i, tn := range core {
 			for s := 0; s < stubs; s++ {
 				sn := net.AddNode(fmt.Sprintf("stub-%d-%d", i, s))
-				net.SetRegionHint(sn, 1+i*stubs+s)
 				down, up := net.AddDuplex(tn, sn, t.StubLink.BW, t.StubLink.Delay, t.StubLink.Queue)
 				down.LossProb, up.LossProb = t.StubLink.Loss, t.StubLink.Loss
 				topo.Nodes = append(topo.Nodes, sn)

@@ -41,19 +41,16 @@ func batchWorkload(s *Scheduler) *string {
 }
 
 // TestBatchDispatchMatchesSerial: the burst-dispatch path must replay
-// event-at-a-time semantics exactly — same callback order, same clock,
-// same processed count — while actually coalescing (fewer batches than
-// events).
+// event-at-a-time semantics (Step) exactly — same callback order, same
+// clock, same processed count — while actually coalescing (fewer
+// batches than events).
 func TestBatchDispatchMatchesSerial(t *testing.T) {
 	serial := NewScheduler()
-	serial.SetBatching(false)
 	st := batchWorkload(serial)
-	serial.Run()
+	for serial.Step() {
+	}
 
 	batched := NewScheduler()
-	if !batched.Batching() {
-		t.Fatal("batching should default on")
-	}
 	bt := batchWorkload(batched)
 	batched.Run()
 
@@ -104,7 +101,7 @@ func TestBatchRunUntilBound(t *testing.T) {
 }
 
 // TestBatchResetClearsCounters: Reset must zero the batch counter with
-// the rest of the run statistics but keep the batching mode.
+// the rest of the run statistics.
 func TestBatchResetClearsCounters(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 3; i++ {
@@ -117,8 +114,5 @@ func TestBatchResetClearsCounters(t *testing.T) {
 	s.Reset()
 	if s.Batches() != 0 {
 		t.Fatalf("Reset kept %d batches", s.Batches())
-	}
-	if !s.Batching() {
-		t.Fatal("Reset disabled batching")
 	}
 }

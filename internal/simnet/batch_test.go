@@ -7,16 +7,17 @@ import (
 	"repro/internal/sim"
 )
 
-// batchModeRun drives a fixed packet stream over an impaired link with
-// the coalesced-ring delivery path on or off and returns the arrival
-// trace plus fault stats. The stream deliberately mixes back-to-back
-// sends (which share a ring and a single armed timer) with reordering,
-// so out-of-order ring appends take the fallback path too.
-func batchModeRun(on bool, seed int64) (string, LinkStats, *Network) {
+// batchModeRun drives a fixed packet stream over an impaired link and
+// returns the arrival trace plus fault stats. With batched on, the
+// scheduler runs through batched dispatch, which drains parked ring
+// arrivals inline; otherwise it runs event-at-a-time under Step, where
+// nothing is inlined and every parked arrival re-arms the link timer.
+// The stream deliberately mixes back-to-back sends (which share a ring
+// and a single armed timer) with reordering, so out-of-order ring
+// appends take the fallback path too.
+func batchModeRun(batched bool, seed int64) (string, LinkStats, *Network) {
 	sch := sim.NewScheduler()
-	sch.SetBatching(on)
 	net := New(sch, sim.NewRand(seed))
-	net.SetBatching(on)
 	a, b := net.AddNode("a"), net.AddNode("b")
 	l, _ := net.AddDuplex(a, b, 1e6, 5*sim.Millisecond, 50)
 	l.SetImpairments(0.1, 0.15, 0.3, 20*sim.Millisecond)
@@ -28,7 +29,12 @@ func batchModeRun(on bool, seed int64) (string, LinkStats, *Network) {
 			net.Send(&Packet{Size: 500, Src: Addr{a, 1}, Dst: Addr{b, 1}})
 		})
 	}
-	sch.Run()
+	if batched {
+		sch.Run()
+	} else {
+		for sch.Step() {
+		}
+	}
 	trace := ""
 	for _, at := range c.at {
 		trace += fmt.Sprintf("%d\n", at)
@@ -37,14 +43,15 @@ func batchModeRun(on bool, seed int64) (string, LinkStats, *Network) {
 }
 
 // TestImpairedDeliveryBatchIdentity: with corruption, duplication and
-// reordering all active, the coalesced per-link ring must reproduce the
-// timer-per-packet delivery order and fault draws byte for byte.
+// reordering all active, batched dispatch with inline ring drains must
+// reproduce the event-at-a-time delivery order and fault draws byte for
+// byte.
 func TestImpairedDeliveryBatchIdentity(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		on, onStats, net := batchModeRun(true, seed)
 		off, offStats, _ := batchModeRun(false, seed)
 		if on != off {
-			t.Fatalf("seed %d: delivery trace differs between batch on and off", seed)
+			t.Fatalf("seed %d: delivery trace differs between batched and Step dispatch", seed)
 		}
 		if onStats != offStats {
 			t.Fatalf("seed %d: link stats differ: %+v vs %+v", seed, onStats, offStats)

@@ -41,17 +41,10 @@ type Link struct {
 	down bool
 	busy bool
 
-	// Execution binding (see Network.bindLink): the scheduler and RNG the
-	// link's entry modules and serialiser run on. On a serial network these
-	// are the network's globals; on a sharded one they belong to the
-	// from-side region, so every draw and timer stays shard-local. crossTo
-	// is the destination region when the link crosses a region boundary
-	// (-1 otherwise): propagation over a crossing link is routed through
-	// the handoff outbox instead of the local scheduler.
-	sched   *sim.Scheduler
-	rng     *sim.Rand
-	shard   int32 // from-side region, -1 on a serial network
-	crossTo int32 // to-side region when crossing, else -1
+	// The network's scheduler and RNG, cached on the link for the
+	// per-packet path.
+	sched *sim.Scheduler
+	rng   *sim.Rand
 
 	// Pre-bound callbacks so per-packet scheduling allocates no closures;
 	// the packet rides along as the event argument.
@@ -60,14 +53,13 @@ type Link struct {
 	ringFn    func(any)
 	directFn  func(any)
 
-	// Coalesced delivery (Network.SetBatching, on by default): while a
-	// delivery timer is outstanding on the link, further in-flight
-	// arrivals park in a per-link ring sorted by (time, seq) instead of
-	// each taking a heap timer. The first arrival of a train rides its
-	// timer directly (armed), so sparse links pay no ring bookkeeping at
-	// all. Each arrival still reserves a scheduler seq, so dispatch
-	// order — and every downstream byte — is identical to the
-	// timer-per-packet path.
+	// Coalesced delivery: while a delivery timer is outstanding on the
+	// link, further in-flight arrivals park in a per-link ring sorted by
+	// (time, seq) instead of each taking a heap timer. The first arrival
+	// of a train rides its timer directly (armed), so sparse links pay no
+	// ring bookkeeping at all. Each arrival still reserves a scheduler
+	// seq, so dispatch order — and every downstream byte — is identical
+	// to giving every arrival its own timer.
 	ring     []ringEntry
 	ringHead int
 	armed    bool     // an in-order delivery timer is outstanding
@@ -181,27 +173,27 @@ func (l *Link) send(pkt *Packet) {
 	l.Stats.Sent++
 	if l.down {
 		l.Stats.DropDown++
-		l.net.faultsAt(l.shard).Unreachable++
-		l.net.releasePktAt(pkt, l.shard)
+		l.net.faults.Unreachable++
+		l.net.releasePkt(pkt)
 		return
 	}
 	if l.LossProb > 0 && l.rng.Bool(l.LossProb) {
 		l.Stats.DropRand++
-		l.net.releasePktAt(pkt, l.shard)
+		l.net.releasePkt(pkt)
 		return
 	}
 	if l.CorruptProb > 0 && l.rng.Bool(l.CorruptProb) {
 		// Corrupted in transit: the far end's checksum rejects it, so it
 		// behaves as a counted drop.
 		l.Stats.Corrupted++
-		l.net.faultsAt(l.shard).Corrupted++
-		l.net.releasePktAt(pkt, l.shard)
+		l.net.faults.Corrupted++
+		l.net.releasePkt(pkt)
 		return
 	}
 	if l.DupProb > 0 && l.rng.Bool(l.DupProb) {
 		l.Stats.Duplicated++
-		l.net.faultsAt(l.shard).Duplicated++
-		l.net.addRefs(pkt, 1) // the extra copy consumes its own reference downstream
+		l.net.faults.Duplicated++
+		pkt.refs++ // the extra copy consumes its own reference downstream
 		l.xmit(pkt)
 	}
 	l.xmit(pkt)
@@ -220,7 +212,7 @@ func (l *Link) xmit(pkt *Packet) {
 		if l.net.DropHook != nil {
 			l.net.DropHook(l, pkt)
 		}
-		l.net.releasePktAt(pkt, l.shard)
+		l.net.releasePkt(pkt)
 		return
 	}
 	if !l.busy {
@@ -241,28 +233,15 @@ func (l *Link) propDelay() sim.Time {
 	return d
 }
 
-// propagate starts a packet's propagation towards the far node. Within a
-// region this is a shard-local timer; across regions the packet goes into
-// the handoff outbox with its arrival time and is scheduled into the
-// destination shard at the next barrier (the crossing delay is at least
-// the lookahead window, so the arrival is always at or after it).
+// propagate starts a packet's propagation towards the far node.
 func (l *Link) propagate(pkt *Packet) {
-	d := l.propDelay()
-	if l.crossTo >= 0 {
-		l.net.pushHandoff(l, l.sched.Now()+d, pkt)
-		return
-	}
-	if l.net.batch {
-		l.ringAppend(l.sched.Now()+d, pkt)
-		return
-	}
-	l.sched.AfterArg(d, l.deliverFn, pkt)
+	l.ringAppend(l.sched.Now()+l.propDelay(), pkt)
 }
 
 // ringAppend routes an in-flight arrival through coalesced delivery.
 // The first arrival of a train rides its own timer (nothing
 // outstanding: the ring is untouched, which makes sparse links as
-// cheap as the timer-per-packet path); while a timer is outstanding,
+// cheap as a timer per packet); while a timer is outstanding,
 // later arrivals park on the ring, kept sorted by (time, seq) —
 // appends are monotone because the clock only advances and the seq
 // counter only grows — and drain off the outstanding timer. An arrival

@@ -1,11 +1,6 @@
 package simnet
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Network ties nodes and links together with unicast routing and
 // source-rooted multicast forwarding.
@@ -38,17 +33,12 @@ type Network struct {
 	mcastTrees map[mcastKey]*mcastTree
 	topoVer    uint32 // bumped on any change that can affect forwarding
 
-	// One-entry last-tree cache for the serial forwarding path: almost
+	// One-entry last-tree cache for the forwarding path: almost
 	// every multicast Send is the session's data stream from one source,
 	// so this hits far more often than the map above misses.
 	lastKey  mcastKey
 	lastTree *mcastTree
 	lastVer  uint32
-
-	// batch enables coalesced link delivery (per-link arrival rings, one
-	// armed timer per link). Byte-identical to timer-per-packet delivery;
-	// see Link.ringAppend.
-	batch bool
 
 	// Dijkstra scratch, reused across route recomputations.
 	dist []int64
@@ -80,19 +70,6 @@ type Network struct {
 	// calls repeat the recorded parameters exactly.
 	runMutated bool
 
-	// Sharded execution (EnableSharding): nodes are assigned to regions,
-	// each region runs on its own scheduler/RNG pair, and crossing-link
-	// propagation is routed through per-(src,dst) handoff outboxes drained
-	// at synchronization barriers. See shard.go.
-	sharded  bool
-	shardOf  []int32
-	shards   []*shardCtx
-	outbox   [][]handoff // K*K slices indexed src*K+dst
-	handRecv uint64
-	drainBuf []handoff
-	treeMu   sync.Mutex // serialises shared mcast-tree compilation
-	hints    map[NodeID]int32
-
 	// DropHook, when set, observes every congestion (queue) drop.
 	DropHook func(l *Link, pkt *Packet)
 }
@@ -117,37 +94,13 @@ type FaultStats struct {
 	Duplicated  int64
 }
 
-// Faults returns the fault counters accumulated since the last Reset,
-// summed over the control path and every shard.
-func (n *Network) Faults() FaultStats {
-	f := n.faults
-	for _, sc := range n.shards {
-		f.Unreachable += sc.faults.Unreachable
-		f.Corrupted += sc.faults.Corrupted
-		f.Duplicated += sc.faults.Duplicated
-	}
-	return f
-}
-
-// faultsAt returns the fault counters the caller may write: the given
-// shard's on a sharded network (single writer per shard), the network's
-// otherwise. shard -1 means the control path / serial network.
-func (n *Network) faultsAt(shard int32) *FaultStats {
-	if shard >= 0 && n.sharded {
-		return &n.shards[shard].faults
-	}
-	return &n.faults
-}
+// Faults returns the fault counters accumulated since the last Reset.
+func (n *Network) Faults() FaultStats { return n.faults }
 
 // LivePackets returns the number of pooled packets currently allocated
 // and not yet fully released. The pool-conservation invariant is that it
 // never goes negative (a free without a matching alloc).
-func (n *Network) LivePackets() int64 {
-	if n.sharded {
-		return atomic.LoadInt64(&n.pktLive)
-	}
-	return n.pktLive
-}
+func (n *Network) LivePackets() int64 { return n.pktLive }
 
 type linkKey struct{ from, to NodeID }
 
@@ -188,24 +141,12 @@ func New(sched *sim.Scheduler, rng *sim.Rand) *Network {
 		groups:     map[GroupID]*group{},
 		mcastTrees: map[mcastKey]*mcastTree{},
 		replay:     -1,
-		batch:      true,
 	}
 }
 
-// SetBatching toggles coalesced link delivery. The toggle changes no
-// observable byte — ring arrivals reserve scheduler seqs exactly as
-// per-packet timers would and drain in identical (time, seq) order —
-// only the per-event heap traffic. Toggle between runs, never while
-// packets are in flight.
-func (n *Network) SetBatching(on bool) { n.batch = on }
-
-// Batching reports whether coalesced link delivery is enabled.
-func (n *Network) Batching() bool { return n.batch }
-
 // RingHeld returns the number of arrivals currently parked in link
 // delivery rings. Used by the ring-conservation invariant (ring-held
-// packets are live by definition); call from the control path or at a
-// barrier, where shards are quiescent.
+// packets are live by definition).
 func (n *Network) RingHeld() int64 {
 	var c int64
 	for _, l := range n.linkList {
@@ -275,31 +216,11 @@ func (n *Network) Reset() bool {
 	n.arena.Rewind()
 	n.faults = FaultStats{}
 	n.pktLive = 0
-	clear(n.hints)
-	if n.sharded {
-		// Tear sharding down: merge the shard pools back into the main free
-		// lists in shard order (packet identity never reaches any output, so
-		// the merge order only needs to be deterministic), drop in-flight
-		// handoffs, and rebind every link to the serial scheduler/RNG. A
-		// following sharded run re-enables with fresh shard state.
-		for _, sc := range n.shards {
-			for c := range sc.pool {
-				n.freePkts[c] = append(n.freePkts[c], sc.cache[c]...)
-				n.freePkts[c] = append(n.freePkts[c], sc.pool[c]...)
-				sc.cache[c], sc.pool[c] = nil, nil
-			}
-		}
-		n.sharded = false
-		n.shards, n.outbox, n.drainBuf = nil, nil, nil
-		n.shardOf = n.shardOf[:0]
-		n.handRecv = 0
-	}
 	// Eagerly clear per-run link state (the replaying AddLink call resets
 	// again with that run's parameters): counters must not leak into the
 	// next run's harvest, and a queued packet or busy serialiser from the
 	// old run must not black-hole traffic.
 	for _, l := range n.linkList {
-		n.bindLink(l)
 		l.Stats = LinkStats{}
 		l.LossProb = 0
 		l.CorruptProb, l.DupProb, l.ReorderProb = 0, 0, 0
@@ -415,7 +336,6 @@ func (n *Network) AddLink(from, to NodeID, bandwidth float64, delay sim.Time, qu
 				}
 				op.bandwidth, op.qlim = bandwidth, queueLimit
 				op.l.resetForReuse(bandwidth, delay, queueLimit)
-				n.bindLink(op.l)
 				return op.l
 			}
 			n.divergeAt(n.replay)
@@ -429,6 +349,8 @@ func (n *Network) AddLink(from, to NodeID, bandwidth float64, delay sim.Time, qu
 		Delay:     delay,
 		Q:         NewDropTail(queueLimit),
 		net:       n,
+		sched:     n.sched,
+		rng:       n.rng,
 	}
 	l.deliverFn = l.deliverArg
 	l.txDoneFn = l.txDone
@@ -437,7 +359,6 @@ func (n *Network) AddLink(from, to NodeID, bandwidth float64, delay sim.Time, qu
 	// Pre-size the delivery ring so run-phase appends don't grow it from
 	// nil — construction cost, not steady-state allocations.
 	l.ring = make([]ringEntry, 0, 16)
-	n.bindLink(l)
 	key := linkKey{from, to}
 	if i, ok := n.linkIdx[key]; ok {
 		n.linkList[i] = l // replace, matching the old map-overwrite semantics
@@ -566,12 +487,6 @@ func (n *Network) AllocPacket() *Packet { return n.AllocPacketClass(0) }
 // reallocate on every mismatch. Class assignments are a repo-wide
 // convention (see each protocol package); class 0 is the default.
 func (n *Network) AllocPacketClass(class uint8) *Packet {
-	if n.sharded {
-		// Legacy call site on a sharded network: fall back to shard 0's
-		// locked pool (correct, just potentially contended). Hot sharded
-		// paths use AllocPacketClassFor with the allocating node instead.
-		return n.allocShard(class, 0)
-	}
 	n.pktLive++
 	free := &n.freePkts[class]
 	if k := len(*free); k > 0 {
@@ -580,48 +495,6 @@ func (n *Network) AllocPacketClass(class uint8) *Packet {
 		return p
 	}
 	return &Packet{pooled: true, class: class}
-}
-
-// AllocPacketFor is AllocPacket bound to the allocating node: on a
-// sharded network the packet comes from (and returns to) that node's
-// shard pool; on a serial network it is exactly AllocPacket.
-func (n *Network) AllocPacketFor(at NodeID) *Packet { return n.AllocPacketClassFor(0, at) }
-
-// AllocPacketClassFor is AllocPacketClass bound to the allocating node
-// (see AllocPacketFor). Callers execute on the node's shard (protocol
-// timers run there; control-phase callers run while shards are
-// quiesced), so the allocation comes from the shard's unlocked burst
-// cache, refilled from the locked pool in runs of burstK.
-func (n *Network) AllocPacketClassFor(class uint8, at NodeID) *Packet {
-	if !n.sharded {
-		return n.AllocPacketClass(class)
-	}
-	k := n.shardOf[at]
-	atomic.AddInt64(&n.pktLive, 1)
-	p := n.shards[k].cacheGet(class)
-	if p == nil {
-		p = &Packet{pooled: true, class: class}
-	}
-	p.owner = int8(k)
-	return p
-}
-
-func (n *Network) allocShard(class uint8, k int32) *Packet {
-	atomic.AddInt64(&n.pktLive, 1)
-	sc := n.shards[k]
-	var p *Packet
-	sc.mu.Lock()
-	free := &sc.pool[class]
-	if m := len(*free); m > 0 {
-		p = (*free)[m-1]
-		*free = (*free)[:m-1]
-	}
-	sc.mu.Unlock()
-	if p == nil {
-		p = &Packet{pooled: true, class: class}
-	}
-	p.owner = int8(k)
-	return p
 }
 
 // ReleasePacket returns a packet obtained from AllocPacket without
@@ -633,59 +506,22 @@ func (n *Network) ReleasePacket(p *Packet) {
 	n.releasePkt(p)
 }
 
-// releasePkt drops one reference with no execution context; on a
-// sharded network the recycled packet takes the locked owner-pool path.
-// Hot paths that know the shard they execute on use releasePktAt.
-func (n *Network) releasePkt(p *Packet) { n.releasePktAt(p, -1) }
-
-// releasePktAt drops one reference; the last reference of a pooled
+// releasePkt drops one reference; the last reference of a pooled
 // packet recycles it onto a free list. The Payload survives recycling
-// (see AllocPacket); everything else is zeroed. On a sharded network
-// the refcount is atomic (a multicast fan-out can release on several
-// shards at once) and the packet recycles into the unlocked burst cache
-// of the shard the caller executes on (exec >= 0) — safe because a
-// shard's window and the control phase strictly alternate — or, with no
-// execution context (exec < 0), into its owner shard's locked pool.
-func (n *Network) releasePktAt(p *Packet, exec int32) {
-	if n.sharded {
-		if atomic.AddInt32(&p.refs, -1) != 0 || !p.pooled {
-			return
-		}
-		atomic.AddInt64(&n.pktLive, -1)
-		payload := p.Payload
-		*p = Packet{pooled: true, Payload: payload, class: p.class, owner: p.owner}
-		if exec >= 0 {
-			n.shards[exec].cachePut(p)
-			return
-		}
-		sc := n.shards[p.owner]
-		sc.mu.Lock()
-		sc.pool[p.class] = append(sc.pool[p.class], p)
-		sc.mu.Unlock()
-		return
-	}
+// (see AllocPacket); everything else is zeroed.
+func (n *Network) releasePkt(p *Packet) {
 	p.refs--
 	if p.refs == 0 && p.pooled {
 		n.pktLive--
-		// Field-wise reset: Payload/pooled/class/owner survive recycling
-		// (owner is never read on the serial path), everything a fresh
-		// allocation would zero is cleared in place — cheaper than the
-		// whole-struct rewrite plus payload save/restore.
+		// Field-wise reset: Payload/pooled/class survive recycling,
+		// everything a fresh allocation would zero is cleared in place —
+		// cheaper than the whole-struct rewrite plus payload save/restore.
 		p.Size = 0
 		p.Src, p.Dst = Addr{}, Addr{}
 		p.Group, p.IsMcast, p.SentAt = 0, false, 0
 		p.tree, p.treeVer = nil, 0
 		n.freePkts[p.class] = append(n.freePkts[p.class], p)
 	}
-}
-
-// addRefs adds d forwarding tokens to a packet, atomically when sharded.
-func (n *Network) addRefs(p *Packet, d int32) {
-	if n.sharded {
-		atomic.AddInt32(&p.refs, d)
-		return
-	}
-	p.refs += d
 }
 
 // Send injects a packet at its source node. Unicast packets follow
@@ -700,7 +536,7 @@ func (n *Network) Send(pkt *Packet) {
 	if n.replay >= 0 && n.replay < len(n.ops) {
 		n.divergeAt(n.replay)
 	}
-	pkt.SentAt = n.schedForNode(pkt.Src.Node).Now()
+	pkt.SentAt = n.sched.Now()
 	pkt.refs = 1
 	pkt.tree = nil // a reused packet must not forward along a stale tree
 	if pkt.IsMcast {
@@ -713,20 +549,18 @@ func (n *Network) Send(pkt *Packet) {
 func (n *Network) forward(at NodeID, pkt *Packet) {
 	if at == pkt.Dst.Node {
 		n.deliverLocal(at, pkt)
-		n.releasePktAt(pkt, n.shardIdx(at))
+		n.releasePkt(pkt)
 		return
 	}
 	if !n.routesOK {
-		// Lazy recompute is serial-only; a sharded run recomputes routes at
-		// barriers (BarrierSync), before any shard can forward again.
 		n.ensureRoutes()
 	}
 	li := n.routes[int(at)*len(n.nodes)+int(pkt.Dst.Node)]
 	if li < 0 {
 		// No route (partition, down links): a counted drop, not a panic —
 		// fault scenarios legitimately strand traffic.
-		n.faultsAt(n.shardIdx(at)).Unreachable++
-		n.releasePktAt(pkt, n.shardIdx(at))
+		n.faults.Unreachable++
+		n.releasePkt(pkt)
 		return
 	}
 	n.linkList[li].send(pkt)
@@ -741,28 +575,21 @@ func (n *Network) arrive(at NodeID, pkt *Packet) {
 }
 
 func (n *Network) forwardMcast(at, src NodeID, pkt *Packet) {
-	var t *mcastTree
-	if n.sharded {
-		// The on-packet tree cache is single-writer state; sharded runs use
-		// a per-shard tree cache instead and never touch pkt.tree.
-		t = n.shardTree(n.shardOf[at], pkt.Group, src)
-	} else {
-		t = pkt.tree
-		if t == nil || pkt.treeVer != n.topoVer {
-			key := mcastKey{pkt.Group, src}
-			if n.lastTree != nil && n.lastVer == n.topoVer && n.lastKey == key {
-				t = n.lastTree
-			} else {
-				t = n.mcastTree(pkt.Group, src)
-				n.lastKey, n.lastTree, n.lastVer = key, t, n.topoVer
-			}
-			pkt.tree, pkt.treeVer = t, n.topoVer
+	t := pkt.tree
+	if t == nil || pkt.treeVer != n.topoVer {
+		key := mcastKey{pkt.Group, src}
+		if n.lastTree != nil && n.lastVer == n.topoVer && n.lastKey == key {
+			t = n.lastTree
+		} else {
+			t = n.mcastTree(pkt.Group, src)
+			n.lastKey, n.lastTree, n.lastVer = key, t, n.topoVer
 		}
+		pkt.tree, pkt.treeVer = t, n.topoVer
 	}
 	if at == src && t.unreach > 0 {
 		// Members severed from the source: each send silently fails to
 		// reach them — charge one unreachable drop per stranded member.
-		n.faultsAt(n.shardIdx(at)).Unreachable += int64(t.unreach)
+		n.faults.Unreachable += int64(t.unreach)
 	}
 	if int(at) < len(t.deliver) && t.deliver[at] {
 		n.deliverLocal(at, pkt)
@@ -771,11 +598,11 @@ func (n *Network) forwardMcast(at, src NodeID, pkt *Packet) {
 	if int(at)+1 < len(t.start) {
 		children = t.links[t.start[at]:t.start[at+1]]
 	}
-	n.addRefs(pkt, int32(len(children)))
+	pkt.refs += int32(len(children))
 	for _, li := range children {
 		n.linkList[li].send(pkt)
 	}
-	n.releasePktAt(pkt, n.shardIdx(at))
+	n.releasePkt(pkt)
 }
 
 func (n *Network) deliverLocal(at NodeID, pkt *Packet) {

@@ -26,17 +26,6 @@ type Config struct {
 	Base    int64   // first seed
 	Step    int64   // seed stride; 0 means 1
 	Check   bool    // enable run-level invariant checking in runners that support it
-
-	// EngineWorkers >= 2 routes scenario-spec runs through the
-	// region-parallel engine with that many worker goroutines per run;
-	// see experiments.RunCtx.SetEngineWorkers. Orthogonal to Workers,
-	// which parallelises across seeds.
-	EngineWorkers int
-
-	// NoBatch disables burst event dispatch (see
-	// experiments.RunCtx.SetBatching). Output is byte-identical either
-	// way; the switch exists for identity smokes and bisection.
-	NoBatch bool
 }
 
 // SeedError records one seed whose run panicked. The sweep recovers,

@@ -108,7 +108,7 @@ func NewSender(name string, net *simnet.Network, src, dst simnet.Addr, cfg Confi
 		cfg = DefaultConfig()
 	}
 	s := &Sender{
-		cfg: cfg, net: net, sch: net.SchedFor(src.Node), rng: net.RandFor(src.Node),
+		cfg: cfg, net: net, sch: net.Scheduler(), rng: net.Rand(),
 		src: src, dst: dst, name: name,
 		cwnd: 1, ssthresh: cfg.MaxCwnd, rto: cfg.InitialRTO,
 	}
@@ -176,7 +176,7 @@ func (s *Sender) transmit(seq int64, isRetx bool) {
 			s.rttPending = false
 		}
 	}
-	pkt := s.net.AllocPacketClassFor(classSegment, s.src.Node)
+	pkt := s.net.AllocPacketClass(classSegment)
 	pkt.Size = s.cfg.PacketSize
 	pkt.Src = s.src
 	pkt.Dst = s.dst
@@ -389,7 +389,7 @@ func (k *Sink) recv(pkt *simnet.Packet) {
 	} else if seg.Seq > k.next {
 		k.ooo[seg.Seq] = true
 	}
-	ack := k.net.AllocPacketClassFor(classAck, k.src.Node)
+	ack := k.net.AllocPacketClass(classAck)
 	ack.Size = k.cfg.AckSize
 	ack.Src = k.src
 	ack.Dst = k.peer

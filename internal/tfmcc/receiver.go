@@ -97,8 +97,8 @@ func newReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port si
 		cfg:    cfg,
 		id:     id,
 		net:    net,
-		sch:    net.SchedFor(node),
-		rng:    net.ProtoRandFor(node, rng),
+		sch:    net.Scheduler(),
+		rng:    rng,
 		addr:   simnet.Addr{Node: node, Port: port},
 		sender: sender,
 		group:  group,
@@ -126,8 +126,8 @@ func (r *Receiver) rewind(id ReceiverID, net *simnet.Network, node simnet.NodeID
 	r.cfg = cfg
 	r.id = id
 	r.net = net
-	r.sch = net.SchedFor(node)
-	r.rng = net.ProtoRandFor(node, rng)
+	r.sch = net.Scheduler()
+	r.rng = rng
 	r.addr = simnet.Addr{Node: node, Port: port}
 	r.sender = sender
 	r.group = group
@@ -264,7 +264,7 @@ func (r *Receiver) Leave() {
 	r.left = true
 	r.leftAt = r.sch.Now()
 	r.cancelTimer()
-	pkt := r.net.AllocPacketFor(r.addr.Node)
+	pkt := r.net.AllocPacket()
 	pkt.Size = r.cfg.ReportSize
 	pkt.Src = r.addr
 	pkt.Dst = r.sender
@@ -602,7 +602,7 @@ func (r *Receiver) sendReport(now sim.Time) {
 	if r.Trace != nil {
 		r.Trace.AddNote(now, trace.CatFeedback, int(r.id), rate, trace.NoteReport)
 	}
-	pkt := r.net.AllocPacketFor(r.addr.Node)
+	pkt := r.net.AllocPacket()
 	pkt.Size = r.cfg.ReportSize
 	pkt.Src = r.addr
 	pkt.Dst = r.sender

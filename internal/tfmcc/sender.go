@@ -152,7 +152,7 @@ func newSender(net *simnet.Network, node simnet.NodeID, port simnet.Port,
 	s := &Sender{
 		cfg:          cfg,
 		net:          net,
-		sch:          net.SchedFor(node),
+		sch:          net.Scheduler(),
 		addr:         simnet.Addr{Node: node, Port: port},
 		group:        group,
 		rate:         cfg.InitialRate,
@@ -177,7 +177,7 @@ func (s *Sender) rewind(net *simnet.Network, node simnet.NodeID, port simnet.Por
 	group simnet.GroupID, cfg Config) {
 	s.cfg = cfg
 	s.net = net
-	s.sch = net.SchedFor(node)
+	s.sch = net.Scheduler()
 	s.addr = simnet.Addr{Node: node, Port: port}
 	s.group = group
 	s.running = false
@@ -328,7 +328,7 @@ func (s *Sender) sendLoop() {
 
 func (s *Sender) transmit() {
 	now := s.sch.Now()
-	pkt := s.net.AllocPacketFor(s.addr.Node)
+	pkt := s.net.AllocPacket()
 	// Recycled packets keep their header box: reusing it makes the
 	// steady-state data path allocation-free (see Network.AllocPacket).
 	d, ok := pkt.Payload.(*Data)
