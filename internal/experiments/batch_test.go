@@ -1,99 +1,65 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/sweep"
+	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
-// TestBatchModeScenarioIdentity pins the tentpole contract at the
-// scenario level: burst dispatch and coalesced link delivery change no
-// output byte. A warm (rewound, batching on) context, a cold batching-on
-// context and a batching-off context must produce identical TSV for the
-// presets covering runtime link mutation (degrade), receiver churn
-// against tree caching (flashcrowd) and the pooled cohort (cohort64).
+// driveScenario builds spec on a fresh seed-1 environment, starts it,
+// lets drive advance the clock to the spec's end and returns the run's
+// series TSV and processed event count.
+func driveScenario(t *testing.T, spec *scenario.Spec, drive func(sc *scenario.Scenario, end sim.Time)) (string, uint64) {
+	t.Helper()
+	env := NewRunCtx().ScenarioEnv(1)
+	sc, err := scenario.Build(env, spec)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	sc.Start()
+	drive(sc, spec.Duration)
+	res := &Result{Figure: spec.Name, Series: sc.Series()}
+	return res.TSV(), env.Sch.Processed()
+}
+
+// TestBatchModeScenarioIdentity pins batched dispatch at the scenario
+// level: burst dispatch and coalesced link delivery change no output
+// byte. Each preset runs once through Scenario.RunUntil, the batched
+// path every run takes, and once with the clock advanced event by event
+// through Scheduler.Step, which never opens a run window, so no link
+// arrival is drained inline. Both must render identical series from
+// the same number of events. The presets cover runtime link mutation
+// (degrade), receiver churn against tree caching (flashcrowd) and the
+// pooled cohort (cohort64).
 func TestBatchModeScenarioIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation scenarios")
 	}
+	batched := func(sc *scenario.Scenario, end sim.Time) { sc.RunUntil(end) }
+	stepped := func(sc *scenario.Scenario, end sim.Time) {
+		sch := sc.Env.Sch
+		for {
+			at, ok := sch.PeekTime()
+			if !ok || at > end {
+				break
+			}
+			sch.Step()
+		}
+		sc.RunUntil(end) // nothing left to run; moves the clock to end
+	}
 	for _, id := range []string{"degrade", "flashcrowd", "cohort64"} {
-		on := NewRunCtx()
-		on.SetBatching(true)
-		cold, err := RunWith(on, id, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := RunWith(on, id, 1) // rewound arena, batching on
-		if err != nil {
-			t.Fatal(err)
-		}
-		off := NewRunCtx()
-		off.SetBatching(false)
-		serial, err := RunWith(off, id, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cold.TSV() != warm.TSV() {
-			t.Fatalf("%s: rewound batching run diverged from cold run", id)
-		}
-		if cold.TSV() != serial.TSV() {
-			t.Fatalf("%s: batch-on output differs from batch-off", id)
-		}
-	}
-}
-
-// TestEngineBatchIdentity: on the region-parallel engine the batching
-// toggle must be as invisible as the worker count — sweeps with
-// engineworkers 2 (batch on and off) and 3 (batch on) all merge to one
-// byte stream.
-func TestEngineBatchIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-simulation scenarios")
-	}
-	run := func(engineWorkers int, noBatch bool) string {
-		res, err := Sweep("flashcrowd", sweep.Config{
-			Seeds: 2, Workers: 1, EngineWorkers: engineWorkers, NoBatch: noBatch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TSV()
-	}
-	base := run(2, false)
-	if off := run(2, true); off != base {
-		t.Error("sharded sweep output differs between batch on and off")
-	}
-	if w3 := run(3, false); w3 != base {
-		t.Error("sharded sweep output depends on engine worker count with batching on")
-	}
-}
-
-// TestSerialOnlyRefused: the figures that drive the simulation clock
-// themselves (13: RTT-change reaction, 14: slowstart cap) cannot run on
-// the region-parallel engine; requesting engine workers for them must
-// fail fast with an error naming the serial engine, in both the direct
-// runner and the sweep path — never silently fall back to serial.
-func TestSerialOnlyRefused(t *testing.T) {
-	for _, id := range []string{"13", "14"} {
 		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("figure %s missing from the registry", id)
+		if !ok || e.Spec == nil {
+			t.Fatalf("%s: not a scenario-backed registry entry", id)
 		}
-		if !e.SerialOnly {
-			t.Fatalf("figure %s should be marked serial-only", id)
+		bTSV, bEvents := driveScenario(t, e.Spec(), batched)
+		sTSV, sEvents := driveScenario(t, e.Spec(), stepped)
+		if bTSV != sTSV {
+			t.Errorf("%s: batched output differs from event-at-a-time output", id)
 		}
-		ctx := NewRunCtx()
-		ctx.SetEngineWorkers(2)
-		if _, err := RunWith(ctx, id, 1); err == nil {
-			t.Fatalf("figure %s ran with engine workers", id)
-		} else if !strings.Contains(err.Error(), "serial engine") {
-			t.Fatalf("figure %s: refusal does not explain itself: %v", id, err)
-		}
-		if _, err := Sweep(id, sweep.Config{Seeds: 1, Workers: 1, EngineWorkers: 2}); err == nil {
-			t.Fatalf("figure %s swept with engine workers", id)
-		} else if !strings.Contains(err.Error(), "serial engine") {
-			t.Fatalf("figure %s: sweep refusal does not explain itself: %v", id, err)
+		if bEvents != sEvents {
+			t.Errorf("%s: batched run processed %d events, event-at-a-time %d", id, bEvents, sEvents)
 		}
 	}
 }
