@@ -175,6 +175,11 @@ func TestGuardedT(t *testing.T) {
 	if got := GuardedT(base, 3, 1000, 0); got <= 4*sim.Second {
 		t.Fatalf("zero rate should give huge guard, got %v", got)
 	}
+	// A guard past the Time range saturates rather than wrapping negative
+	// and losing to base.
+	if got := GuardedT(base, 3, 1000, 1e-12); got != sim.MaxTime {
+		t.Fatalf("tiny-rate GuardedT = %v, want MaxTime", got)
+	}
 }
 
 func TestExpectedResponsesAgainstMonteCarlo(t *testing.T) {

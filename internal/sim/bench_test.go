@@ -84,3 +84,24 @@ func BenchmarkCancelHeavyDrain(b *testing.B) {
 		s.RunUntil(Time(20 * n))
 	}
 }
+
+// BenchmarkSchedulerFanout models one multicast data packet reaching
+// 1,000 receivers per round: 1,000 arg events spread over 41 distinct
+// instants 9-49 ms ahead, then 20 ms of dispatch, so one to two rounds
+// are queued at a time as in the Figure 12 fan-out.
+func BenchmarkSchedulerFanout(b *testing.B) {
+	const receivers, instants = 1000, 41
+	s := NewScheduler()
+	r := NewRand(1)
+	fn := func(any) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := s.Now()
+		for j := 0; j < receivers; j++ {
+			s.AtArg(now+9*Millisecond+Time(r.Intn(instants))*Millisecond, fn, nil)
+		}
+		s.RunUntil(now + 20*Millisecond)
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(max(s.Processed(), 1)), "ns/event")
+}

@@ -30,6 +30,61 @@ func TestTimeScaleSaturates(t *testing.T) {
 	}
 }
 
+// TestTimeArithmeticSaturates checks that conversions and relative
+// scheduling clamp at the ends of the Time range instead of wrapping,
+// and that in-range values convert exactly as before.
+func TestTimeArithmeticSaturates(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want Time
+	}{
+		{"FromSeconds(1e12)", FromSeconds(1e12), MaxTime},
+		{"FromSeconds(+Inf)", FromSeconds(math.Inf(1)), MaxTime},
+		{"FromSeconds(-1e12)", FromSeconds(-1e12), math.MinInt64},
+		{"FromSeconds(9.2e9)", FromSeconds(9.2e9), Time(9.2e18)},
+		{"FromSeconds(2.5)", FromSeconds(2.5), 2500 * Millisecond},
+		{"FromSeconds(-0.5)", FromSeconds(-0.5), -500 * Millisecond},
+		{"FromMillis(1e15)", FromMillis(1e15), MaxTime},
+		{"FromMillis(-1e15)", FromMillis(-1e15), math.MinInt64},
+		{"FromMillis(0.001)", FromMillis(0.001), Microsecond},
+		{"Scale(MaxTime, 2)", MaxTime.Scale(2), MaxTime},
+		{"Scale(-MaxTime, 2)", (-MaxTime).Scale(2), math.MinInt64},
+		{"Scale(3s, 0.5)", (3 * Second).Scale(0.5), 1500 * Millisecond},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		now  Time
+		d    Time
+		want Time
+	}{
+		{"MaxTime at 1ms", Millisecond, MaxTime, MaxTime},
+		{"MaxTime-1 at 1ms", Millisecond, MaxTime - 1, MaxTime},
+		{"MaxTime-1ms at 1ms", Millisecond, MaxTime - Millisecond, MaxTime},
+		{"FromSeconds(1e12) at 1ms", Millisecond, FromSeconds(1e12), MaxTime},
+		{"2s at 1ms", Millisecond, 2 * Second, 2*Second + Millisecond},
+		{"negative at 1ms", Millisecond, -Second, Millisecond},
+	} {
+		for _, arg := range []bool{false, true} {
+			s := NewScheduler()
+			s.RunUntil(c.now)
+			var tm Timer
+			if arg {
+				tm = s.AfterArg(c.d, func(any) {}, nil)
+			} else {
+				tm = s.After(c.d, func() {})
+			}
+			if got := tm.At(); got != c.want {
+				t.Errorf("%s (arg %v): fires at %d, want %d", c.name, arg, got, c.want)
+			}
+		}
+	}
+}
+
 func TestMinMaxTime(t *testing.T) {
 	if MinTime(Second, 2*Second) != Second {
 		t.Fatal("MinTime wrong")

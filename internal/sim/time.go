@@ -33,17 +33,25 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // String formats the time with millisecond precision for traces.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
-// FromSeconds converts a duration in seconds to a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
+// FromSeconds converts a duration in seconds to a Time, saturating at
+// MaxTime (and at the most negative Time below).
+func FromSeconds(s float64) Time { return saturate(s * float64(Second)) }
 
-// FromMillis converts a duration in milliseconds to a Time.
-func FromMillis(ms float64) Time { return Time(ms * float64(Millisecond)) }
+// FromMillis converts a duration in milliseconds to a Time, saturating
+// like FromSeconds.
+func FromMillis(ms float64) Time { return saturate(ms * float64(Millisecond)) }
 
 // Scale multiplies a time by a dimensionless factor, saturating at MaxTime.
-func (t Time) Scale(f float64) Time {
-	v := float64(t) * f
+func (t Time) Scale(f float64) Time { return saturate(float64(t) * f) }
+
+// saturate converts nanoseconds to a Time, clamping values out of int64
+// range instead of letting the conversion wrap.
+func saturate(v float64) Time {
 	if v >= float64(math.MaxInt64) {
 		return MaxTime
+	}
+	if v <= math.MinInt64 {
+		return math.MinInt64
 	}
 	return Time(v)
 }

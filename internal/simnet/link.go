@@ -55,7 +55,7 @@ type Link struct {
 
 	// Coalesced delivery: while a delivery timer is outstanding on the
 	// link, further in-flight arrivals park in a per-link ring sorted by
-	// (time, seq) instead of each taking a heap timer. The first arrival
+	// (time, seq) instead of each taking a scheduler timer. The first arrival
 	// of a train rides its timer directly (armed), so sparse links pay no
 	// ring bookkeeping at all. Each arrival still reserves a scheduler
 	// seq, so dispatch order — and every downstream byte — is identical
@@ -246,8 +246,8 @@ func (l *Link) propagate(pkt *Packet) {
 // appends are monotone because the clock only advances and the seq
 // counter only grows — and drain off the outstanding timer. An arrival
 // earlier than the newest scheduled one (the reorder module, a mid-run
-// delay cut) falls back to its own heap timer, which preserves global
-// dispatch order exactly.
+// delay cut) falls back to its own scheduler timer, which preserves
+// global dispatch order exactly.
 func (l *Link) ringAppend(at sim.Time, pkt *Packet) {
 	s := l.sched
 	seq := s.ReserveSeq()

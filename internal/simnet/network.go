@@ -6,11 +6,14 @@ import "repro/internal/sim"
 // source-rooted multicast forwarding.
 //
 // The per-packet fast path is allocation- and map-free: links live in a
-// flat slice with a CSR adjacency index, unicast routes are a single
-// []int32 of size V*V holding first-hop link indices, multicast trees are
-// compiled into flattened child-link arrays, and packets obtained from
-// AllocPacket are recycled through a per-network free list (the simulator
-// is single-threaded, so no locking is needed).
+// flat slice with a CSR adjacency index, unicast routes are per-source
+// rows of first-hop link indices, each computed by one Dijkstra run the
+// first time forwarding (or a multicast tree walk) needs it, multicast
+// trees are compiled into flattened child-link arrays, and packets
+// obtained from AllocPacket are recycled through a per-network free list
+// (the simulator is single-threaded, so no locking is needed). A
+// 1,000-leaf star thus computes the few rows its multicast tree and
+// unicast feedback use instead of a 4 MB all-pairs table.
 type Network struct {
 	sched *sim.Scheduler
 	rng   *sim.Rand
@@ -26,8 +29,12 @@ type Network struct {
 	adjStart []int32
 	adjLinks []int32
 
+	// routes[src][dst] = first-hop link index, -1 unreachable; row src
+	// holds current routes only while rowOK[src]. routesOK false marks
+	// every row stale (and the tables possibly missized) at once.
 	routesOK bool
-	routes   []int32 // routes[src*V+dst] = first-hop link index, -1 unreachable
+	rowOK    []bool
+	routes   [][]int32
 
 	groups     map[GroupID]*group
 	mcastTrees map[mcastKey]*mcastTree
@@ -42,7 +49,6 @@ type Network struct {
 
 	// Dijkstra scratch, reused across route recomputations.
 	dist []int64
-	prev []NodeID
 	done []bool
 	dh   []distEntry
 
@@ -552,10 +558,7 @@ func (n *Network) forward(at NodeID, pkt *Packet) {
 		n.releasePkt(pkt)
 		return
 	}
-	if !n.routesOK {
-		n.ensureRoutes()
-	}
-	li := n.routes[int(at)*len(n.nodes)+int(pkt.Dst.Node)]
+	li := n.route(at)[pkt.Dst.Node]
 	if li < 0 {
 		// No route (partition, down links): a counted drop, not a panic —
 		// fault scenarios legitimately strand traffic.
@@ -657,33 +660,40 @@ func (n *Network) ensureAdj() {
 	n.adjOK = true
 }
 
-// ensureRoutes computes all-pairs first-hop link indices by running
-// heap-based Dijkstra (edge weight = propagation delay, with a small
-// constant so zero-delay links still count hops) from every node.
-func (n *Network) ensureRoutes() {
-	if n.routesOK {
-		return
+// route returns src's row of first-hop link indices, computing it on
+// first use.
+func (n *Network) route(src NodeID) []int32 {
+	if !n.routesOK || !n.rowOK[src] {
+		n.computeRow(src)
 	}
-	n.ensureAdj()
+	return n.routes[src]
+}
+
+// computeRow runs heap-based Dijkstra from src (edge weight =
+// propagation delay, with a small constant so zero-delay links still
+// count hops) into src's row, first resizing the tables and marking
+// every row stale if the topology changed.
+func (n *Network) computeRow(src NodeID) {
 	cnt := len(n.nodes)
-	if cap(n.routes) < cnt*cnt {
-		n.routes = make([]int32, cnt*cnt)
-	} else {
-		n.routes = n.routes[:cnt*cnt]
+	if !n.routesOK {
+		n.ensureAdj()
+		if len(n.routes) < cnt {
+			n.routes = append(n.routes, make([][]int32, cnt-len(n.routes))...)
+		}
+		n.routes = n.routes[:cnt]
+		if cap(n.rowOK) < cnt {
+			n.rowOK = make([]bool, cnt)
+		}
+		n.rowOK = n.rowOK[:cnt]
+		clear(n.rowOK)
+		n.routesOK = true
 	}
-	if cap(n.dist) < cnt {
-		n.dist = make([]int64, cnt)
-		n.prev = make([]NodeID, cnt)
-		n.done = make([]bool, cnt)
-	} else {
-		n.dist = n.dist[:cnt]
-		n.prev = n.prev[:cnt]
-		n.done = n.done[:cnt]
+	if cap(n.routes[src]) < cnt {
+		n.routes[src] = make([]int32, cnt)
 	}
-	for s := 0; s < cnt; s++ {
-		n.dijkstra(NodeID(s), n.routes[s*cnt:(s+1)*cnt])
-	}
-	n.routesOK = true
+	n.routes[src] = n.routes[src][:cnt]
+	n.dijkstra(src, n.routes[src])
+	n.rowOK[src] = true
 }
 
 // distEntry is a lazy-deletion Dijkstra heap entry ordered by (d, node);
@@ -702,14 +712,20 @@ func distLess(a, b distEntry) bool {
 }
 
 // dijkstra fills next[dst] with the linkList index of the first hop from
-// src towards dst (-1 when unreachable).
+// src towards dst (-1 when unreachable). The first hop rides along the
+// relaxation: a node reached from src inherits the link itself, any
+// other node its predecessor's first hop.
 func (n *Network) dijkstra(src NodeID, next []int32) {
 	cnt := len(n.nodes)
 	const inf = int64(1) << 62
-	dist, prev, done := n.dist, n.prev, n.done
+	if cap(n.dist) < cnt {
+		n.dist = make([]int64, cnt)
+		n.done = make([]bool, cnt)
+	}
+	dist, done := n.dist[:cnt], n.done[:cnt]
 	for i := 0; i < cnt; i++ {
 		dist[i] = inf
-		prev[i] = -1
+		next[i] = -1
 		done[i] = false
 	}
 	dist[src] = 0
@@ -754,7 +770,11 @@ func (n *Network) dijkstra(src NodeID, next []int32) {
 			w := int64(l.Delay) + 1 // +1 keeps zero-delay hops countable
 			if nd := dist[u] + w; nd < dist[v] {
 				dist[v] = nd
-				prev[v] = u
+				if u == src {
+					next[v] = li
+				} else {
+					next[v] = next[u]
+				}
 				// Push (sift-up).
 				h = append(h, distEntry{nd, v})
 				i := len(h) - 1
@@ -772,21 +792,6 @@ func (n *Network) dijkstra(src NodeID, next []int32) {
 		}
 	}
 	n.dh = h[:0]
-	// next[dst]: first-hop link from src towards dst.
-	for d := 0; d < cnt; d++ {
-		if NodeID(d) == src || prev[d] == -1 {
-			next[d] = -1
-			continue
-		}
-		hop := NodeID(d)
-		for prev[hop] != src {
-			hop = prev[hop]
-			if hop < 0 {
-				break
-			}
-		}
-		next[d] = n.linkIdx[linkKey{src, hop}]
-	}
 }
 
 // mcastTree returns (compiling if needed) the flattened shortest-path tree
@@ -796,7 +801,6 @@ func (n *Network) mcastTree(g GroupID, src NodeID) *mcastTree {
 	if t, ok := n.mcastTrees[key]; ok {
 		return t
 	}
-	n.ensureRoutes()
 	cnt := len(n.nodes)
 	gr := n.groups[g]
 	children := make([][]int32, cnt)
@@ -818,7 +822,7 @@ func (n *Network) mcastTree(g GroupID, src NodeID) *mcastTree {
 			walk = walk[:0]
 			at := src
 			for at != m {
-				li := n.routes[int(at)*cnt+int(m)]
+				li := n.route(at)[m]
 				if li < 0 {
 					walk = walk[:0]
 					unreach++
