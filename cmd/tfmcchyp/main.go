@@ -77,7 +77,7 @@ func main() {
 func judge(hs []*hypothesis.Hypothesis, workers int, asJSON bool) []*hypothesis.Verdict {
 	var out []*hypothesis.Verdict
 	for _, h := range hs {
-		v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers})
+		v, err := hypothesis.Run(h, workers)
 		if err != nil {
 			fatalf("%s: %v", h.ID, err)
 		}

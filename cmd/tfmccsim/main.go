@@ -38,7 +38,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/hypothesis"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -50,7 +49,6 @@ func main() {
 		scen     = flag.String("scenario", "", "run a Spec-backed entry through the scenario executor (with overrides)")
 		scenFile = flag.String("scenario-file", "", "run a JSON spec document through the scenario executor (with overrides)")
 		specOut  = flag.String("spec-out", "", "with -scenario: write the spec (overrides applied) as JSON to this file ('-' for stdout) instead of running it")
-		hyp      = flag.String("hypothesis", "", "judge a hypothesis by id or JSON file; exit 1 on a failed expectation")
 		all      = flag.Bool("all", false, "run every figure")
 		list     = flag.Bool("list", false, "list available figures and presets")
 		tsv      = flag.Bool("tsv", false, "print full series as TSV instead of a summary")
@@ -74,6 +72,7 @@ func main() {
 	)
 	flag.Parse()
 
+	cfg := sweep.Config{Seeds: *seeds, Workers: *workers, CI: *ci, Base: *seed, Check: *check}
 	ov := scenario.Overrides{
 		Duration:  sim.FromSeconds(*duration),
 		CoreBW:    *corebw * 125000,
@@ -91,11 +90,8 @@ func main() {
 	switch {
 	case *list:
 		for _, e := range experiments.Entries() {
-			fmt.Printf("%-10s %-26s cost=%-6.2f %s\n",
-				e.ID, "["+strings.Join(e.Tags, ",")+"]", e.Cost, e.Title)
+			fmt.Printf("%-10s %-26s %s\n", e.ID, "["+strings.Join(e.Tags, ",")+"]", e.Title)
 		}
-	case *hyp != "":
-		judge(*hyp, *workers)
 	case *scenFile != "":
 		spec, err := scenario.LoadSpec(*scenFile)
 		if err == nil {
@@ -140,21 +136,21 @@ func main() {
 		reportViolations(violationStrings(ctx), nil)
 	case *all:
 		for _, id := range experiments.Figures() {
-			run(id, *seed, *seeds, *workers, *ci, *tsv, *check)
+			run(id, cfg, *tsv)
 		}
 	case *figure != "":
-		run(*figure, *seed, *seeds, *workers, *ci, *tsv, *check)
+		run(*figure, cfg, *tsv)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-func run(id string, seed int64, seeds, workers int, ci float64, tsv, check bool) {
-	if seeds > 1 {
-		res, err := experiments.Sweep(id, sweep.Config{
-			Seeds: seeds, Workers: workers, CI: ci, Base: seed, Check: check,
-		})
+// run reproduces one figure: a single seeded run (cfg.Base) when
+// cfg.Seeds <= 1, otherwise a merged sweep.
+func run(id string, cfg sweep.Config, tsv bool) {
+	if cfg.Seeds > 1 {
+		res, err := experiments.Sweep(id, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -168,10 +164,10 @@ func run(id string, seed int64, seeds, workers int, ci float64, tsv, check bool)
 		return
 	}
 	ctx := experiments.NewRunCtx()
-	if check {
+	if cfg.Check {
 		ctx.EnableInvariants()
 	}
-	res, err := experiments.RunWith(ctx, id, seed)
+	res, err := experiments.RunWith(ctx, id, cfg.Base)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -182,30 +178,6 @@ func run(id string, seed int64, seeds, workers int, ci float64, tsv, check bool)
 		fmt.Print(res.Summary())
 	}
 	reportViolations(violationStrings(ctx), nil)
-}
-
-// judge resolves a hypothesis — a committed-suite id or a JSON document
-// path — runs it and exits 1 when any expectation fails.
-func judge(ref string, workers int) {
-	h, ok := hypothesis.ByID(ref)
-	if !ok {
-		var err error
-		h, err = hypothesis.Load(ref)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%q is neither a suite hypothesis id (have %v) nor a loadable file: %v\n",
-				ref, hypothesis.SuiteIDs(), err)
-			os.Exit(1)
-		}
-	}
-	v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Print(v.Report())
-	if !v.Pass {
-		os.Exit(1)
-	}
 }
 
 // writeSpec exports a registry entry's scenario spec (overrides applied)

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // cheapOnly is a selection that exercises analytic figures, one real
@@ -14,7 +16,7 @@ import (
 var cheapOnly = []string{"1", "2", "14", "17", "session100x10"}
 
 func TestPlanEnumeration(t *testing.T) {
-	plan, err := NewPlan(nil, true)
+	plan, err := NewPlan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,22 +27,12 @@ func TestPlanEnumeration(t *testing.T) {
 		if it.Seq != i {
 			t.Fatalf("item %d (%s) has seq %d", i, it.ID, it.Seq)
 		}
-		if it.Cost <= 0 {
-			t.Fatalf("item %s has no cost weight", it.ID)
-		}
 	}
 	if plan[len(plan)-1].ID != SessionID {
 		t.Fatalf("session not last: %s", plan[len(plan)-1].ID)
 	}
-	noSess, err := NewPlan(nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(noSess) != 34 {
-		t.Fatalf("sessionless plan has %d items, want 34", len(noSess))
-	}
 	// Scenario presets keep their names as report ids and are selectable.
-	sel, err := NewPlan([]string{"flashcrowd"}, false)
+	sel, err := NewPlan([]string{"flashcrowd"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +44,7 @@ func TestPlanEnumeration(t *testing.T) {
 func TestPlanOnlySelection(t *testing.T) {
 	// Bare figure ids, report ids and the session alias all resolve, and
 	// selection keeps enumeration order regardless of argument order.
-	plan, err := NewPlan([]string{"session", "figure9", "1"}, true)
+	plan, err := NewPlan([]string{"session", "figure9", "1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,313 +56,43 @@ func TestPlanOnlySelection(t *testing.T) {
 }
 
 func TestPlanOnlyErrors(t *testing.T) {
-	if _, err := NewPlan([]string{"999"}, true); err == nil {
+	if _, err := NewPlan([]string{"999"}); err == nil {
 		t.Fatal("unknown id must error")
 	}
-	if _, err := NewPlan([]string{"9", "9"}, true); err == nil {
+	if _, err := NewPlan([]string{"9", "9"}); err == nil {
 		t.Fatal("duplicate id must error")
 	}
-	if _, err := NewPlan([]string{"9", "figure9"}, true); err == nil {
+	if _, err := NewPlan([]string{"9", "figure9"}); err == nil {
 		t.Fatal("duplicate id via alias must error")
 	}
-	// The session id is not selectable when the session is excluded.
-	if _, err := NewPlan([]string{"session100x10"}, false); err == nil {
-		t.Fatal("session id without session must error")
-	}
 }
 
-func TestShardPartitionsDisjointAndComplete(t *testing.T) {
-	plan, err := NewPlan(nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 3, 4, 5, 7, len(plan), len(plan) + 3} {
-		seen := map[int]string{}
-		for i := 1; i <= n; i++ {
-			items, err := Shard(plan, i, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			last := -1
-			for _, it := range items {
-				if prev, dup := seen[it.Seq]; dup {
-					t.Fatalf("n=%d: %s in shards %s and %d", n, it.ID, prev, i)
-				}
-				seen[it.Seq] = fmt.Sprint(i)
-				if it.Seq <= last {
-					t.Fatalf("n=%d shard %d not in plan order", n, i)
-				}
-				last = it.Seq
-			}
-		}
-		if len(seen) != len(plan) {
-			t.Fatalf("n=%d: %d of %d items covered", n, len(seen), len(plan))
-		}
-	}
-}
-
-func TestShardBalancesCost(t *testing.T) {
-	plan, err := NewPlan(nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0.0
-	maxCost := 0.0
-	for _, it := range plan {
-		total += it.Cost
-		if it.Cost > maxCost {
-			maxCost = it.Cost
-		}
-	}
-	const n = 3
-	for i := 1; i <= n; i++ {
-		items, err := Shard(plan, i, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		load := 0.0
-		for _, it := range items {
-			load += it.Cost
-		}
-		// Greedy LPT keeps every shard within one max-item of the mean.
-		if load > total/n+maxCost {
-			t.Fatalf("shard %d/%d load %.1f exceeds mean %.1f + max item %.1f",
-				i, n, load, total/n, maxCost)
-		}
-	}
-}
-
-func TestShardErrors(t *testing.T) {
-	plan, _ := NewPlan(nil, true)
-	for _, bad := range [][2]int{{0, 3}, {4, 3}, {1, 0}} {
-		if _, err := Shard(plan, bad[0], bad[1]); err == nil {
-			t.Fatalf("Shard(%d, %d) must error", bad[0], bad[1])
-		}
-	}
-	for _, spec := range []string{"", "x", "3", "0/2", "3/2", "-1/2", "2/3junk", "2/3/5", "1 /2"} {
-		if _, _, err := ParseShardSpec(spec); err == nil {
-			t.Fatalf("ParseShardSpec(%q) must error", spec)
-		}
-	}
-}
-
-func TestSeedRange(t *testing.T) {
-	for _, c := range []struct {
-		total, n int
-		bases    []int64
-		counts   []int
-	}{
-		{4, 2, []int64{1, 3}, []int{2, 2}},
-		{5, 2, []int64{1, 4}, []int{3, 2}},
-		{7, 3, []int64{1, 4, 6}, []int{3, 2, 2}},
-		{3, 3, []int64{1, 2, 3}, []int{1, 1, 1}},
-	} {
-		for i := 1; i <= c.n; i++ {
-			base, count, err := SeedRange(c.total, i, c.n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base != c.bases[i-1] || count != c.counts[i-1] {
-				t.Fatalf("SeedRange(%d, %d, %d) = (%d, %d), want (%d, %d)",
-					c.total, i, c.n, base, count, c.bases[i-1], c.counts[i-1])
-			}
-		}
-	}
-	if _, _, err := SeedRange(2, 1, 3); err == nil {
-		t.Fatal("more fragments than seeds must error")
-	}
-	if _, _, err := SeedRange(4, 0, 2); err == nil {
-		t.Fatal("shard 0 must error")
-	}
-}
-
-// measureSeedShard runs the cheap selection over one seed sub-range.
-func measureSeedShard(t *testing.T, shard, n, totalSeeds int) *Report {
+// measure runs a real (small) measurement of a cheap selection.
+func measure(t *testing.T, only []string, seeds int) *Report {
 	t.Helper()
-	plan, err := NewPlan(cheapOnly, true)
+	plan, err := NewPlan(only)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, count, err := SeedRange(totalSeeds, shard, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := MeasureOpts(plan, plan, Options{
-		Seeds: count, SeedBase: base, TotalSeeds: totalSeeds, Workers: 1,
-		SeedShard: fmt.Sprintf("%d/%d", shard, n),
-	}, io.Discard)
-	return rep
+	return Measure(plan, sweep.Config{Seeds: seeds, Workers: 1, Base: 1}, io.Discard)
 }
 
-// TestSeedMergeByteIdentical is the seed-sharding acceptance property:
-// merging the whole plan measured over disjoint seed sub-ranges
-// reproduces the full-range report byte-for-byte in deterministic form.
-func TestSeedMergeByteIdentical(t *testing.T) {
-	const totalSeeds = 4
-	plan, err := NewPlan(cheapOnly, true)
-	if err != nil {
-		t.Fatal(err)
+// TestMeasureNormalizesSeeds: a seed count below one is normalized once,
+// so the header, every scenario's runs and the session loop all count
+// the same single seed, and the report equals a one-seed measurement.
+func TestMeasureNormalizesSeeds(t *testing.T) {
+	only := []string{"14", "session"}
+	zero := measure(t, only, 0).Strip()
+	if zero.Seeds != 1 {
+		t.Fatalf("header seeds = %d, want 1", zero.Seeds)
 	}
-	full := MeasureOpts(plan, plan, Options{Seeds: totalSeeds, Workers: 1}, io.Discard)
-	want, err := full.Strip().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{2, 3} {
-		frags := make([]*Report, n)
-		for i := 1; i <= n; i++ {
-			frags[i-1] = measureSeedShard(t, i, n, totalSeeds)
-		}
-		frags[0], frags[n-1] = frags[n-1], frags[0] // order must not matter
-		merged, err := Merge(frags)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if len(merged.Fragments) != n {
-			t.Fatalf("n=%d: merged report records %d fragments", n, len(merged.Fragments))
-		}
-		got, err := merged.Strip().Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("n=%d: seed-merged report differs from full-range run:\n%s\nvs\n%s", n, got, want)
+	for _, m := range zero.Scenarios {
+		if m.Runs != 1 || m.Events == 0 {
+			t.Fatalf("%s: runs %d, events %d; want one seed swept", m.ID, m.Runs, m.Events)
 		}
 	}
-}
-
-func TestSeedMergeValidation(t *testing.T) {
-	a := measureSeedShard(t, 1, 2, 4)
-	b := measureSeedShard(t, 2, 2, 4)
-	if _, err := Merge([]*Report{a}); err == nil {
-		t.Fatal("incomplete seed fragment set must error")
-	}
-	if _, err := Merge([]*Report{a, a}); err == nil {
-		t.Fatal("duplicate seed shard must error")
-	}
-	scen := measure(t, 1, 2)
-	if _, err := Merge([]*Report{a, scen}); err == nil {
-		t.Fatal("mixing seed and scenario fragments must error")
-	}
-	gap := *b
-	gap.SeedBase = 4 // pretends to start one seed late
-	if _, err := Merge([]*Report{a, &gap}); err == nil {
-		t.Fatal("non-chaining seed ranges must error")
-	}
-	merged, err := Merge([]*Report{b, a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.SeedShard != "" || merged.SeedBase != 0 {
-		t.Fatalf("merged report still carries seed-shard identity: %q %d", merged.SeedShard, merged.SeedBase)
-	}
-	if merged.Seeds != 4 {
-		t.Fatalf("merged seeds = %d, want 4", merged.Seeds)
-	}
-}
-
-// measure runs a real (small) measurement of the cheap selection,
-// optionally as one shard of n.
-func measure(t *testing.T, shard, n int) *Report {
-	t.Helper()
-	plan, err := NewPlan(cheapOnly, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := plan
-	if n > 0 {
-		items, err = Shard(plan, shard, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep := Measure(items, plan, 2, 1, io.Discard)
-	if n > 0 {
-		rep.Shard = fmt.Sprintf("%d/%d", shard, n)
-	}
-	return rep
-}
-
-// TestMergeByteIdentical is the acceptance property: for any shard count,
-// merging the (shuffled) fragments reproduces the unsharded report
-// byte-for-byte once timing-dependent fields are stripped.
-func TestMergeByteIdentical(t *testing.T) {
-	unsharded, err := measure(t, 0, 0).Strip().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 3, 5} {
-		frags := make([]*Report, n)
-		for i := 1; i <= n; i++ {
-			frags[i-1] = measure(t, i, n)
-		}
-		// Shuffle deterministically: merge order must not matter.
-		for i := range frags {
-			j := (i*7 + 3) % len(frags)
-			frags[i], frags[j] = frags[j], frags[i]
-		}
-		merged, err := Merge(frags)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		got, err := merged.Strip().Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(unsharded) {
-			t.Fatalf("n=%d: merged report differs from unsharded run:\n%s\nvs\n%s",
-				n, got, unsharded)
-		}
-	}
-}
-
-func TestMergeValidation(t *testing.T) {
-	a := measure(t, 1, 2)
-	b := measure(t, 2, 2)
-
-	if _, err := Merge(nil); err == nil {
-		t.Fatal("empty fragment set must error")
-	}
-	if _, err := Merge([]*Report{a}); err == nil {
-		t.Fatal("incomplete fragment set must error")
-	}
-	if _, err := Merge([]*Report{a, a}); err == nil {
-		t.Fatal("duplicate shard must error")
-	}
-	full := measure(t, 0, 0)
-	if _, err := Merge([]*Report{full, b}); err == nil {
-		t.Fatal("fragment without shard spec must error")
-	}
-	seeds := *a
-	seeds.Seeds++
-	if _, err := Merge([]*Report{&seeds, b}); err == nil {
-		t.Fatal("header mismatch must error")
-	}
-	// Fragments of two different -only selections must not recombine,
-	// even when their sizes and seq coverage happen to line up.
-	other := *a
-	other.PlanIDs = append([]string{"figureX"}, a.PlanIDs[1:]...)
-	if _, err := Merge([]*Report{&other, b}); err == nil {
-		t.Fatal("differing plan selections must error")
-	}
-	if len(a.Scenarios) == 0 {
-		t.Fatal("shard 1/2 unexpectedly empty")
-	}
-	tampered := *a
-	tampered.Scenarios = a.Scenarios[1:]
-	if _, err := Merge([]*Report{&tampered, b}); err == nil {
-		t.Fatal("missing scenario must error")
-	}
-
-	merged, err := Merge([]*Report{b, a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Shard != "" {
-		t.Fatalf("merged report still carries shard %q", merged.Shard)
-	}
-	if len(merged.Scenarios) != merged.PlanSize {
-		t.Fatalf("merged %d scenarios, plan %d", len(merged.Scenarios), merged.PlanSize)
+	if got, want := mustEncode(t, zero), mustEncode(t, measure(t, only, 1).Strip()); string(got) != string(want) {
+		t.Fatalf("seeds 0 report differs from seeds 1:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -442,7 +164,7 @@ func TestCompareNormalizesMachineSpeed(t *testing.T) {
 }
 
 func TestStripDropsTimingFields(t *testing.T) {
-	rep := measure(t, 0, 0)
+	rep := measure(t, cheapOnly, 2)
 	s := rep.Strip()
 	if !s.Deterministic || s.Generated != "" {
 		t.Fatalf("strip left header fields: %+v", s)
@@ -476,11 +198,10 @@ func mustEncode(t *testing.T, r *Report) []byte {
 	return enc
 }
 
-// TestRecoveryFieldsJSONAndMerge pins the recovery metrics' report
-// contract: zero values vanish from the JSON (BENCH_engine.json stays
-// byte-stable for fault-free scenarios), and a seed-range merge sums the
-// episode counts while taking the worst (max) episode durations.
-func TestRecoveryFieldsJSONAndMerge(t *testing.T) {
+// TestRecoveryFieldsJSON pins the recovery metrics' report contract:
+// zero values vanish from the JSON, so BENCH_engine.json stays
+// byte-stable for fault-free scenarios.
+func TestRecoveryFieldsJSON(t *testing.T) {
 	zero, err := json.Marshal(Metrics{ID: "x"})
 	if err != nil {
 		t.Fatal(err)
@@ -489,90 +210,5 @@ func TestRecoveryFieldsJSONAndMerge(t *testing.T) {
 		if strings.Contains(string(zero), field) {
 			t.Errorf("zero recovery field %q serialised: %s", field, zero)
 		}
-	}
-
-	frag := func(shard string, losses, reelectNS int64) *Report {
-		return &Report{
-			Seeds: 4, SeedShard: shard, SeedBase: map[string]int64{"1/2": 1, "2/2": 3}[shard],
-			Scenarios: []Metrics{{
-				ID: "x", Runs: 2,
-				CLRLosses: losses, Reelections: losses, RateRecoveries: losses,
-				ReelectNS: reelectNS, RateRecoverNS: reelectNS + 5,
-			}},
-		}
-	}
-	merged, err := Merge([]*Report{frag("1/2", 2, 100), frag("2/2", 1, 400)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := merged.Scenarios[0]
-	if m.CLRLosses != 3 || m.Reelections != 3 || m.RateRecoveries != 3 {
-		t.Errorf("merged counts = %d/%d/%d, want 3/3/3", m.CLRLosses, m.Reelections, m.RateRecoveries)
-	}
-	if m.ReelectNS != 400 || m.RateRecoverNS != 405 {
-		t.Errorf("merged maxima = %d/%d, want 400/405", m.ReelectNS, m.RateRecoverNS)
-	}
-}
-
-// measure2D runs one cell of a scenario-shard x seed-shard matrix.
-func measure2D(t *testing.T, sel []string, shard, n, sshard, sn, totalSeeds int) *Report {
-	t.Helper()
-	plan, err := NewPlan(sel, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items, err := Shard(plan, shard, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, count, err := SeedRange(totalSeeds, sshard, sn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := MeasureOpts(items, plan, Options{
-		Seeds: count, SeedBase: base, TotalSeeds: totalSeeds, Workers: 1,
-		SeedShard: fmt.Sprintf("%d/%d", sshard, sn),
-	}, io.Discard)
-	rep.Shard = fmt.Sprintf("%d/%d", shard, n)
-	return rep
-}
-
-// Test2DMergeByteIdentical: a scenario-shard x seed-shard matrix merges
-// back to the unsharded report byte-for-byte in deterministic form.
-func Test2DMergeByteIdentical(t *testing.T) {
-	const totalSeeds = 4
-	plan, err := NewPlan(cheapOnly, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := MeasureOpts(plan, plan, Options{Seeds: totalSeeds, Workers: 1}, io.Discard)
-	want, err := full.Strip().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var frags []*Report
-	for s := 1; s <= 2; s++ {
-		for j := 1; j <= 2; j++ {
-			frags = append(frags, measure2D(t, cheapOnly, s, 2, j, 2, totalSeeds))
-		}
-	}
-	frags[0], frags[3] = frags[3], frags[0] // order must not matter
-	merged, err := Merge(frags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Shard != "" || merged.SeedShard != "" {
-		t.Fatalf("merged report keeps shard identity: %q %q", merged.Shard, merged.SeedShard)
-	}
-	got, err := merged.Strip().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("2-D merged report differs from unsharded run:\n%s\nvs\n%s", got, want)
-	}
-	// Dimensionality must be uniform across fragments.
-	if _, err := Merge([]*Report{frags[0], measure(t, 1, 2)}); err == nil {
-		t.Fatal("mixing 2-D and scenario-only fragments must error")
 	}
 }

@@ -44,42 +44,15 @@ func (m *Metrics) finish(wall time.Duration, st experiments.EngineStats, allocs 
 	}
 }
 
-// Options configure a measurement run.
-type Options struct {
-	Seeds    int   // seeds per scenario in this run
-	SeedBase int64 // first seed; 0 means 1
-	Workers  int
-	// TotalSeeds is the whole run's seed count when this is a seed-range
-	// fragment (recorded as the header Seeds so sibling fragments agree);
-	// 0 means Seeds.
-	TotalSeeds int
-	SeedShard  string // "i/N" stamped on seed-range fragments
-	// Check enables the run-level invariant checker in every figure
-	// sweep; violations land in the scenario's Metrics. The checker's
-	// ticks are excluded from event counts, so the deterministic report
-	// is unchanged by enabling it.
-	Check bool
-}
-
-// Measure runs every item of items (typically one shard of plan) and
-// returns the report, like MeasureOpts with the default seed range.
-func Measure(items, plan []Item, seeds, workers int, progress io.Writer) *Report {
-	return MeasureOpts(items, plan, Options{Seeds: seeds, Workers: workers}, progress)
-}
-
-// MeasureOpts runs every item of items (typically one shard of plan, or
-// the whole plan over one seed sub-range) and returns the report.
-// Progress lines go to progress (pass io.Discard to silence). The header
-// records the full plan — size and scenario ids — so fragments from
-// sibling shards can be merged and checked for completeness against the
-// same selection.
-func MeasureOpts(items, plan []Item, opt Options, progress io.Writer) *Report {
-	if opt.SeedBase == 0 {
-		opt.SeedBase = 1
-	}
-	if opt.TotalSeeds == 0 {
-		opt.TotalSeeds = opt.Seeds
-	}
+// Measure runs every item of plan and returns the report. cfg is
+// normalized once, so the header, each scenario's runs and the session
+// loop all count the same seeds; cfg.Base is the first seed (tfmccbench
+// passes 1) and cfg.Check arms the invariant checker in every figure
+// sweep. The checker's ticks are excluded from event counts, so the
+// deterministic report does not depend on Check. Progress lines go to
+// progress (pass io.Discard to silence).
+func Measure(plan []Item, cfg sweep.Config, progress io.Writer) *Report {
+	cfg = cfg.Normalized()
 	planIDs := make([]string, len(plan))
 	for i, it := range plan {
 		planIDs[i] = it.ID
@@ -89,23 +62,19 @@ func MeasureOpts(items, plan []Item, opt Options, progress io.Writer) *Report {
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
-		Seeds:     opt.TotalSeeds,
-		Workers:   opt.Workers,
+		Seeds:     cfg.Seeds,
+		Workers:   cfg.Workers,
 		PlanSize:  len(plan),
 		PlanIDs:   planIDs,
-		SeedShard: opt.SeedShard,
 		Scenarios: []Metrics{},
 	}
-	if opt.SeedBase != 1 {
-		rep.SeedBase = opt.SeedBase
-	}
 	start := time.Now()
-	for _, it := range items {
+	for _, it := range plan {
 		var m Metrics
 		if it.ID == SessionID {
-			m = measureSession(it, opt)
+			m = measureSession(it, cfg)
 		} else {
-			m = measureFigure(it, opt)
+			m = measureFigure(it, cfg)
 		}
 		rep.Scenarios = append(rep.Scenarios, m)
 		switch {
@@ -126,16 +95,15 @@ func MeasureOpts(items, plan []Item, opt Options, progress io.Writer) *Report {
 }
 
 // measureFigure sweeps one registered figure across seeds in parallel.
-func measureFigure(it Item, opt Options) Metrics {
+func measureFigure(it Item, cfg sweep.Config) Metrics {
 	m := Metrics{
 		ID: it.ID, Seq: it.Seq, Title: it.Title, Tags: it.Tags,
-		Runs: opt.Seeds, Analytic: it.Analytic,
+		Runs: cfg.Seeds, Analytic: it.Analytic,
 	}
 	runtime.GC()
 	a0 := allocsNow()
 	start := time.Now()
-	res, err := experiments.Sweep(it.FigureID, sweep.Config{
-		Seeds: opt.Seeds, Workers: opt.Workers, Base: opt.SeedBase, Check: opt.Check})
+	res, err := experiments.Sweep(it.FigureID, cfg)
 	if err != nil {
 		m.WallNS = time.Since(start).Nanoseconds()
 		m.Failures = []string{err.Error()}
@@ -147,14 +115,13 @@ func measureFigure(it Item, opt Options) Metrics {
 	return m
 }
 
-// measureSession runs the 100-receiver session scenario seeds times on
+// measureSession runs the 100-receiver session scenario once per seed on
 // one reusable arena, recording cold-vs-warm setup allocations. The setup
 // probes run the scenario for zero simulated seconds — construction only —
 // so the amortisation ratio isolates what arena reuse saves, undiluted by
 // run-phase allocations.
-func measureSession(it Item, opt Options) Metrics {
-	base, seeds := opt.SeedBase, opt.Seeds
-	m := Metrics{ID: it.ID, Seq: it.Seq, Title: it.Title, Tags: it.Tags, Runs: seeds}
+func measureSession(it Item, cfg sweep.Config) Metrics {
+	m := Metrics{ID: it.ID, Seq: it.Seq, Title: it.Title, Tags: it.Tags, Runs: cfg.Seeds}
 	ctx := experiments.NewRunCtx()
 	runtime.GC()
 	a0 := allocsNow()
@@ -173,8 +140,8 @@ func measureSession(it Item, opt Options) Metrics {
 	runtime.GC()
 	a0 = allocsNow()
 	start := time.Now()
-	for seed := base; seed < base+int64(seeds); seed++ {
-		ctx.SessionThroughputSeed(seed, 100, 10)
+	for i := range cfg.Seeds {
+		ctx.SessionThroughputSeed(cfg.Seed(i), 100, 10)
 	}
 	m.finish(time.Since(start), ctx.Stats(), allocsNow()-a0)
 	return m

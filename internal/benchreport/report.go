@@ -1,14 +1,11 @@
-// Package benchreport produces, shards and merges the BENCH_engine.json
+// Package benchreport produces and compares the BENCH_engine.json
 // engine-benchmark reports emitted by cmd/tfmccbench.
 //
 // A report measures a *plan*: the registry's figures (in enumeration
 // order) plus the session micro-scenario, each stamped with its
-// plan-relative sequence number. CI matrix jobs run disjoint shards of
-// the plan (cost-balanced via the registry's weights) and emit fragment
-// reports; Merge recombines fragments by sequence number — the same
-// seed-indexed discipline stats.MergeRuns uses — so the merged report is
-// byte-identical to an unsharded run once timing-dependent fields are
-// stripped (Deterministic).
+// plan-relative sequence number. Once timing-dependent fields are
+// stripped (Deterministic), two reports of the same plan, seeds and
+// worker count are byte-identical.
 package benchreport
 
 import (
@@ -32,7 +29,7 @@ type SetupAmort struct {
 // ones Deterministic strips.
 type Metrics struct {
 	ID           string   `json:"id"`
-	Seq          int      `json:"seq"` // position in the measured plan; drives merge order
+	Seq          int      `json:"seq"` // position in the measured plan
 	Title        string   `json:"title"`
 	Tags         []string `json:"tags,omitempty"`
 	Runs         int      `json:"runs"` // seeds swept
@@ -75,52 +72,26 @@ type Metrics struct {
 	Setup         *SetupAmort `json:"setup_amortization,omitempty"`
 }
 
-// Report is the BENCH_engine.json document — either a full run, a shard
-// fragment (Shard = "i/N"), or the merge of a fragment set.
+// Report is the BENCH_engine.json document.
 type Report struct {
 	Generated string `json:"generated,omitempty"`
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	Seeds     int    `json:"seeds"`
+	Seeds     int    `json:"seeds"` // seeds swept per scenario (tfmccbench: 1..Seeds)
 	Workers   int    `json:"workers"`
-	// PlanSize is the total number of scenarios in the (unsharded) plan
-	// this report measures a subset of; Merge checks fragment coverage
-	// against it.
-	PlanSize int `json:"plan_size"`
-	// PlanIDs lists every scenario id of that plan in order, so Merge can
-	// refuse fragments that sharded *different* selections (identical
-	// headers alone cannot tell them apart).
-	PlanIDs []string `json:"plan,omitempty"`
-	// Shard is "i/N" (1-based) on fragments, empty on full and merged
-	// reports.
-	Shard string `json:"shard,omitempty"`
-	// SeedShard is "i/N" on seed-range fragments: every scenario of the
-	// plan measured over a contiguous sub-range of the seeds (SeedBase
-	// up). Empty on full, scenario-sharded and merged reports.
-	SeedShard string `json:"seed_shard,omitempty"`
-	// SeedBase is the first seed this report measured (default 1).
-	SeedBase int64 `json:"seed_base,omitempty"`
-	// WallNS is the fragment's total measurement wall time — the number
-	// CI surfaces per shard to see how the matrix is balanced. Stripped
-	// in the deterministic form.
+	// PlanSize and PlanIDs record the measured plan — its size and every
+	// scenario id in order — so a reader can tell which selection
+	// (tfmccbench -only) a report covers.
+	PlanSize int      `json:"plan_size"`
+	PlanIDs  []string `json:"plan,omitempty"`
+	// WallNS is the whole measurement's wall time, recorded in the bench
+	// history. Stripped in the deterministic form.
 	WallNS int64 `json:"wall_ns,omitempty"`
-	// Fragments, on a merged report, records each input fragment's
-	// identity and wall time for the fan-in job summary. Stripped in the
-	// deterministic form.
-	Fragments []FragmentMeta `json:"fragments,omitempty"`
 	// Deterministic marks a report stripped of timing-dependent fields,
-	// the form compared byte-for-byte across sharded and unsharded runs.
+	// the form compared byte-for-byte across runs.
 	Deterministic bool      `json:"deterministic,omitempty"`
 	Scenarios     []Metrics `json:"scenarios"`
-}
-
-// FragmentMeta summarises one merged-in fragment for reporting.
-type FragmentMeta struct {
-	Shard     string `json:"shard,omitempty"`
-	SeedShard string `json:"seed_shard,omitempty"`
-	Scenarios int    `json:"scenarios"`
-	WallNS    int64  `json:"wall_ns"`
 }
 
 // Encode renders the report exactly as tfmccbench writes it to disk.
@@ -145,7 +116,7 @@ func (r *Report) WriteFile(path string) error {
 	return os.WriteFile(path, enc, 0o644)
 }
 
-// Load reads a report or fragment from disk.
+// Load reads a report from disk.
 func Load(path string) (*Report, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -162,13 +133,12 @@ func Load(path string) (*Report, error) {
 // wall time, the allocator or the clock — generated stamp, wall/rate
 // metrics, allocation counts and setup amortisation — leaving only
 // simulation-deterministic counters. Two deterministic reports of the
-// same plan and seeds are byte-identical however the work was sharded.
+// same plan, seeds and worker count are byte-identical.
 func (r *Report) Strip() *Report {
 	out := *r
 	out.Generated = ""
 	out.Deterministic = true
 	out.WallNS = 0
-	out.Fragments = nil
 	out.Scenarios = make([]Metrics, len(r.Scenarios))
 	for i, m := range r.Scenarios {
 		m.WallNS = 0

@@ -100,14 +100,13 @@ type RunCtx struct {
 	key        string
 	envs       map[string][]*env
 	next       int
-	reuse      bool
 	check      bool
 	stats      EngineStats
 	violations []invariant.Violation
 }
 
-// NewRunCtx returns a context with environment reuse enabled.
-func NewRunCtx() *RunCtx { return &RunCtx{envs: map[string][]*env{}, reuse: true} }
+// NewRunCtx returns a context with an empty environment arena.
+func NewRunCtx() *RunCtx { return &RunCtx{envs: map[string][]*env{}} }
 
 // EnableInvariants arms the run-level invariant checker on every
 // environment this context hands out: engine-level predicates (packet
@@ -213,9 +212,7 @@ func (c *RunCtx) newEnv(seed int64) *env {
 	sch := sim.NewScheduler()
 	netRng := sim.NewRand(seed)
 	e := &env{sch: sch, net: simnet.New(sch, netRng), rng: sim.NewRand(seed + 7), netRng: netRng}
-	if c.reuse {
-		e.net.EnableReuse()
-	}
+	e.net.EnableReuse()
 	c.envs[c.key] = append(list, e)
 	c.next++
 	c.armChecker(e)
@@ -264,7 +261,7 @@ func (c *RunCtx) ScenarioEnv(seed int64) scenario.Env {
 }
 
 // rewind restores the environment to the state newEnv would have built
-// fresh for seed. When the network cannot be rewound (reuse disabled or a
+// fresh for seed. When the network cannot be rewound (a
 // replay-incompatible construction), it is rebuilt from scratch — always
 // correct, just without the reuse speedup.
 func (e *env) rewind(seed int64) {

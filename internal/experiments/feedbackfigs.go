@@ -14,16 +14,16 @@ func init() {
 	// The feedback-mechanism figures are closed-form or Monte-Carlo plots:
 	// they never drive the discrete-event engine, so they are registered
 	// as analytic and engine benchmarks skip their (zero) counters.
-	registerAnalytic("1", "Different feedback biasing methods (CDF of feedback time)", 0.01, false, Figure1)
+	registerAnalytic("1", "Different feedback biasing methods (CDF of feedback time)", false, Figure1)
 	// Figure 2 is seed-dependent but its points are a scatter (random
 	// feedback times on x), so index-aligned band merging is meaningless:
 	// no sweep tag.
-	registerAnalytic("2", "Time-value distribution of one feedback round", 0.01, false, Figure2)
-	registerAnalytic("3", "Different feedback cancellation methods (#responses vs n)", 1.1, true, Figure3)
-	registerAnalytic("4", "Expected number of feedback messages (analytic)", 1.8, false, Figure4)
-	registerAnalytic("5", "Response time of feedback biasing methods", 1.1, true, Figure5)
-	registerAnalytic("6", "Quality of reported rate", 1.0, true, Figure6)
-	registerAnalytic("17", "Loss events per RTT vs loss event rate", 0.01, false, Figure17)
+	registerAnalytic("2", "Time-value distribution of one feedback round", false, Figure2)
+	registerAnalytic("3", "Different feedback cancellation methods (#responses vs n)", true, Figure3)
+	registerAnalytic("4", "Expected number of feedback messages (analytic)", false, Figure4)
+	registerAnalytic("5", "Response time of feedback biasing methods", true, Figure5)
+	registerAnalytic("6", "Quality of reported rate", true, Figure6)
+	registerAnalytic("17", "Loss events per RTT vs loss event rate", false, Figure17)
 }
 
 // fbBase returns the canonical feedback configuration used by the

@@ -10,8 +10,8 @@ import (
 )
 
 func init() {
-	registerSpec("11", "Responsiveness to changes in the loss rate", 2.4, Figure11Spec, Figure11)
-	registerSpec("20", "Responsiveness to network delay", 2.4, Figure20Spec, Figure20)
+	registerSpec("11", "Responsiveness to changes in the loss rate", Figure11Spec, Figure11)
+	registerSpec("20", "Responsiveness to network delay", Figure20Spec, Figure20)
 }
 
 // starSession builds the star topology used by the responsiveness

@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	registerSpec("18", "Competing TCP traffic on return paths", 1.0, Figure18Spec, Figure18)
-	registerSpec("19", "Lossy return paths", 0.9, Figure19Spec, Figure19)
+	registerSpec("18", "Competing TCP traffic on return paths", Figure18Spec, Figure18)
+	registerSpec("19", "Lossy return paths", Figure19Spec, Figure19)
 }
 
 var fig18ReverseCounts = []int{0, 1, 2, 4}

@@ -11,7 +11,7 @@ import (
 
 // Figure 7 operates at the estimator level (no discrete-event engine),
 // so it is registered as analytic.
-func init() { registerAnalytic("7", "Scaling: throughput vs number of receivers", 14.9, true, Figure7) }
+func init() { registerAnalytic("7", "Scaling: throughput vs number of receivers", true, Figure7) }
 
 // Figure7 reproduces the throughput-degradation analysis of section 3:
 // with n receivers seeing independent loss, TFMCC tracks the minimum of

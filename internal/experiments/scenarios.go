@@ -7,7 +7,7 @@ import (
 )
 
 // The scenario presets ride in the same registry as the paper figures —
-// stable IDs, tags and cost weights — so tfmccbench lists, shards and
+// stable IDs and tags — so tfmccbench lists, measures and
 // regression-gates them like any figure, and tfmccsim runs them via
 // -scenario with parameter overrides.
 func init() {
@@ -16,7 +16,6 @@ func init() {
 		addEntry(Entry{
 			ID:    p.ID,
 			Title: p.Title,
-			Cost:  p.Cost,
 			Tags:  []string{TagEngine, TagSweep, TagScenario},
 			Spec:  p.Make,
 			Run: func(c *RunCtx, seed int64) *Result {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/sweep"
 )
 
-func init() { register("14", "Maximum slowstart rate vs number of receivers", 0.9, Figure14) }
+func init() { register("14", "Maximum slowstart rate vs number of receivers", Figure14) }
 
 // Figure14 measures the maximum rate reached during slowstart as a
 // function of the receiver-set size, in three settings with a fair rate
@@ -34,13 +34,14 @@ func Figure14(c *RunCtx, seed int64) *Result {
 	for _, cfg := range settings {
 		s := &stats.Series{Name: cfg.name}
 		for _, n := range counts {
-			// Average the peak over a few seeds: a single unlucky early
-			// loss otherwise dominates the competing-TCP settings. The
-			// sweep runs inline (one worker) so it can share this runner's
-			// environment arena.
-			mean := sweep.Mean(sweep.Config{Seeds: 3, Base: seed, Step: 100},
-				func(_ int, s int64) float64 {
-					return maxSlowstartRate(c, n, cfg.linkBW, cfg.numTCP, cfg.queue, s)
+			// Average the peak over three seeds 100 apart: a single
+			// unlucky early loss otherwise dominates the competing-TCP
+			// settings. The sweep runs inline (one worker) so it can share
+			// this runner's environment arena; its seeds 0, 1, 2 pick the
+			// offsets.
+			mean := sweep.Mean(sweep.Config{Seeds: 3},
+				func(_ int, k int64) float64 {
+					return maxSlowstartRate(c, n, cfg.linkBW, cfg.numTCP, cfg.queue, seed+100*k)
 				})
 			s.Add(sim.FromSeconds(float64(n)), mean*8/1000) // Kbit/s
 		}

@@ -135,6 +135,40 @@ func TestSweepRegisteredFigure(t *testing.T) {
 	}
 }
 
+// TestSweepCheckedWorkers runs a registry sweep the way tfmccbench -check
+// does — seeds fanned over two workers, each with an armed invariant
+// checker — so the race detector sees the fan-out, the per-worker
+// checkers and the harvest of violations and engine counters. The checked
+// parallel sweep must stay clean and equal an unchecked serial one: same
+// band TSV, same event count (checker ticks are not counted).
+func TestSweepCheckedWorkers(t *testing.T) {
+	const id = "clrfail"
+	if e, ok := Lookup(id); !ok || e.Spec == nil {
+		t.Fatalf("%s is not a Spec-backed entry", id)
+	}
+	checked, err := Sweep(id, sweep.Config{Seeds: 4, Workers: 2, Base: 1, Check: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked.Workers != 2 {
+		t.Fatalf("sweep ran on %d workers, want 2", checked.Workers)
+	}
+	if len(checked.Violations) != 0 || len(checked.Failures) != 0 {
+		t.Fatalf("checked sweep: violations %v, failures %v", checked.Violations, checked.Failures)
+	}
+	serial, err := Sweep(id, sweep.Config{Seeds: 4, Workers: 1, Base: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked.TSV() != serial.TSV() {
+		t.Fatal("checked 2-worker sweep TSV differs from unchecked serial sweep")
+	}
+	if checked.Engine.Events == 0 || checked.Engine.Events != serial.Engine.Events {
+		t.Fatalf("events: checked 2-worker %d, unchecked serial %d",
+			checked.Engine.Events, serial.Engine.Events)
+	}
+}
+
 // TestSweepUnknownFigure mirrors Run's error contract.
 func TestSweepUnknownFigure(t *testing.T) {
 	if _, err := Sweep("999", sweep.Config{Seeds: 2}); err == nil {
@@ -177,11 +211,10 @@ func TestAnalyticRegistry(t *testing.T) {
 	}
 }
 
-// TestSeedRangeFragmentsMergeRuns is the band-level seed-sharding
-// property behind tfmccbench -seedshard: running a figure's seed range
-// as disjoint fragments (each on its own arena, like separate machines)
-// and merging the raw per-seed series with stats.MergeRuns reproduces
-// the single full-range sweep bit for bit.
+// TestSeedRangeFragmentsMergeRuns: running a figure's seed range as
+// disjoint sub-ranges (each on its own arena) and merging the raw
+// per-seed series with stats.MergeRuns reproduces the single full-range
+// sweep bit for bit — seeds carry no state across arenas.
 func TestSeedRangeFragmentsMergeRuns(t *testing.T) {
 	runner := func(ctx *RunCtx) sweep.RunFunc {
 		return func(_ int, seed int64) []*stats.Series {

@@ -28,7 +28,7 @@ func BenchmarkJudgedRun(b *testing.B) {
 	}
 	h.Seeds = SeedSet{Base: 1, Count: 1}
 	for b.Loop() {
-		v, err := Run(h, Options{Workers: 1})
+		v, err := Run(h, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,8 +10,8 @@
 // bound, per-seed breakdown.
 //
 // Hypotheses serialise to JSON like scenario specs, so prediction suites
-// ship as data (`tfmccsim -hypothesis spec.json`); the committed suite
-// (suite.go) gates CI through cmd/tfmcchyp.
+// ship as data (`tfmcchyp -run spec.json`); the committed suite
+// (suite.go) gates CI through `tfmcchyp -suite`.
 package hypothesis
 
 import (

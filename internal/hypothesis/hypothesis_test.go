@@ -118,7 +118,7 @@ func TestBrokenBoundFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation run")
 	}
-	v, err := Run(brokenHypothesis(), Options{Workers: 1})
+	v, err := Run(brokenHypothesis(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestJudgedRunDeterministic(t *testing.T) {
 		t.Skip("full-simulation run")
 	}
 	h := brokenHypothesis()
-	a, err := Run(h, Options{Workers: 1})
+	a, err := Run(h, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(h, Options{Workers: 2})
+	b, err := Run(h, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +162,14 @@ func TestExpectationOneOf(t *testing.T) {
 		Workload: Workload{Scenario: "partition"},
 		Expect:   []Expectation{{}},
 	}
-	if _, err := Run(h, Options{}); err == nil {
+	if _, err := Run(h, 0); err == nil {
 		t.Error("empty expectation accepted")
 	}
 	h.Expect = []Expectation{{
 		RateFloor:             &RateBound{Series: "x"},
 		NoInvariantViolations: &NoInvariantViolations{},
 	}}
-	if _, err := Run(h, Options{}); err == nil {
+	if _, err := Run(h, 0); err == nil {
 		t.Error("doubly-populated expectation accepted")
 	}
 }

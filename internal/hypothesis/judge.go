@@ -12,11 +12,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// Options configure a judged run.
-type Options struct {
-	Workers int // sweep workers; < 1 means 1
-}
-
 // SeedMeasure is one seed's judgement of one expectation.
 type SeedMeasure struct {
 	Seed     int64   `json:"seed"`
@@ -121,15 +116,15 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 }
 
 // Run executes and judges one hypothesis. The workload runs once per
-// seed, fanned over opt.Workers through the sweep machinery — each
-// worker owns one RunCtx with the invariant checker armed, so repeated
+// seed, fanned over workers (< 1 means 1) through the sweep machinery —
+// each worker owns one RunCtx with the invariant checker armed, so repeated
 // seeds rewind the cached topology exactly like figure sweeps — and
 // every expectation is then judged against the per-seed outcomes in
 // seed order, making the verdict independent of the worker count.
 // The returned error covers malformed hypotheses (bad workload ref,
 // mis-populated expectation); workload build/run failures are judged
 // (they fail every expectation), not returned.
-func Run(h *Hypothesis, opt Options) (*Verdict, error) {
+func Run(h *Hypothesis, workers int) (*Verdict, error) {
 	if h.ID == "" {
 		return nil, fmt.Errorf("hypothesis: missing id")
 	}
@@ -147,7 +142,7 @@ func Run(h *Hypothesis, opt Options) (*Verdict, error) {
 	}
 
 	seeds := h.Seeds.normalized()
-	cfg := sweep.Config{Seeds: seeds.Count, Workers: opt.Workers, Base: seeds.Base}.Normalized()
+	cfg := sweep.Config{Seeds: seeds.Count, Workers: workers, Base: seeds.Base}.Normalized()
 	ctxs := make([]*experiments.RunCtx, cfg.Workers)
 	for i := range ctxs {
 		ctxs[i] = experiments.NewRunCtx()

@@ -386,8 +386,8 @@ type Spec struct {
 }
 
 // DeclaredReceivers returns how many receivers the spec will declare —
-// cohort members included, so cost weights and shard balancing reflect
-// the modelled population, not the endpoint count: the population block
+// cohort members included, so summaries and size guards reflect the
+// modelled population, not the endpoint count: the population block
 // (applying expandPopulation's per-attach defaulting), the explicit Recv
 // steps, and the cohort's full membership.
 func (s *Spec) DeclaredReceivers() int {

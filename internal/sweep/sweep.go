@@ -23,8 +23,7 @@ type Config struct {
 	Seeds   int     // number of independent seeds; < 1 means 1
 	Workers int     // worker goroutines; < 1 means 1, capped at Seeds
 	CI      float64 // confidence level for the merged bands; 0 means 0.95
-	Base    int64   // first seed
-	Step    int64   // seed stride; 0 means 1
+	Base    int64   // first seed; seed i of the sweep is Base+i
 	Check   bool    // enable run-level invariant checking in runners that support it
 }
 
@@ -55,19 +54,15 @@ func (c Config) Normalized() Config {
 	if c.CI == 0 {
 		c.CI = 0.95
 	}
-	if c.Step == 0 {
-		c.Step = 1
-	}
 	return c
 }
 
 // Seed returns the i-th seed of the sweep.
-func (c Config) Seed(i int) int64 { return c.Base + int64(i)*c.Step }
+func (c Config) Seed(i int) int64 { return c.Base + int64(i) }
 
 // Index returns the sweep index of a seed produced by Seed — the inverse
-// mapping callers use to file per-seed results in seed order. The config
-// must be normalized (Step != 0).
-func (c Config) Index(seed int64) int { return int((seed - c.Base) / c.Step) }
+// mapping callers use to file per-seed results in seed order.
+func (c Config) Index(seed int64) int { return int(seed - c.Base) }
 
 // RunFunc produces one seed's series. worker identifies the executing
 // worker (0..Workers-1) so implementations can reuse per-worker arenas; a
@@ -99,11 +94,9 @@ func Run(cfg Config, fn RunFunc) *Result {
 }
 
 // RunRaw executes fn for every seed and returns the raw per-seed series
-// in seed order, for callers that merge seed-range fragments themselves:
-// stats.MergeRuns over the concatenation of consecutive fragments'
-// RunRaw outputs is byte-identical to one full Run over the whole range.
-// This is the primitive behind seed-range sharding, where one expensive
-// scenario's seeds are split across machines.
+// in seed order, for callers that inspect each seed's run or merge the
+// bands themselves: stats.MergeRuns over the result is exactly what Run
+// returns.
 //
 // A seed whose fn panics is recovered: its slot stays nil (MergeRuns
 // skips nil runs) and a SeedError is returned. The error list is in seed

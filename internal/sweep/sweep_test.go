@@ -33,9 +33,9 @@ func bandsTSV(r *Result) string {
 // TestWorkerCountInvariance: the merged output must be byte-identical for
 // any worker count.
 func TestWorkerCountInvariance(t *testing.T) {
-	base := Run(Config{Seeds: 7, Workers: 1, Base: 3, Step: 2}, synthRun)
+	base := Run(Config{Seeds: 7, Workers: 1, Base: 3}, synthRun)
 	for _, w := range []int{2, 3, 7, 16} {
-		got := Run(Config{Seeds: 7, Workers: w, Base: 3, Step: 2}, synthRun)
+		got := Run(Config{Seeds: 7, Workers: w, Base: 3}, synthRun)
 		if bandsTSV(got) != bandsTSV(base) {
 			t.Fatalf("workers=%d merged output differs from workers=1", w)
 		}
@@ -45,7 +45,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 func TestSeedAssignment(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int64]int{}
-	Run(Config{Seeds: 9, Workers: 4, Base: 100, Step: 10}, func(w int, seed int64) []*stats.Series {
+	Run(Config{Seeds: 9, Workers: 4, Base: 100}, func(w int, seed int64) []*stats.Series {
 		mu.Lock()
 		seen[seed]++
 		mu.Unlock()
@@ -55,7 +55,7 @@ func TestSeedAssignment(t *testing.T) {
 		t.Fatalf("ran %d distinct seeds, want 9", len(seen))
 	}
 	for i := 0; i < 9; i++ {
-		seed := int64(100 + 10*i)
+		seed := int64(100 + i)
 		if seen[seed] != 1 {
 			t.Fatalf("seed %d ran %d times", seed, seen[seed])
 		}
@@ -94,15 +94,15 @@ func TestScalarsAndMeanSeedOrder(t *testing.T) {
 
 func TestNormalizedDefaults(t *testing.T) {
 	c := Config{}.Normalized()
-	if c.Seeds != 1 || c.Workers != 1 || c.CI != 0.95 || c.Step != 1 {
+	if c.Seeds != 1 || c.Workers != 1 || c.CI != 0.95 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	c = Config{Seeds: 2, Workers: 8}.Normalized()
 	if c.Workers != 2 {
 		t.Fatalf("workers not capped at seeds: %+v", c)
 	}
-	if got := (Config{Base: 5, Step: 3}).Normalized().Seed(2); got != 11 {
-		t.Fatalf("Seed(2) = %d, want 11", got)
+	if got := (Config{Base: 5}).Normalized().Seed(2); got != 7 {
+		t.Fatalf("Seed(2) = %d, want 7", got)
 	}
 }
 
